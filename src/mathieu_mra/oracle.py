@@ -6,7 +6,16 @@ A fixed-step 5th-order Runge-Kutta scheme integrates
 
 and characteristic values are recovered by shooting on the half-period
 boundary condition, entirely bypassing the tridiagonal eigensolve of
-:mod:`mathieu_mra.core`.
+:mod:`mathieu_mra.core` (which supplies only the default bracket centre).
+
+The scheme is Dormand-Prince with its step held fixed.  Because the ODE is
+linear in x = (y, y'), each step is exactly x_{i+1} = (I + E_i) x_i and its
+embedded error estimate is D_i x_i, with 2x2 matrices E_i and D_i built
+from the seven stage matrices and a table of cos 2(z + c_s h) that does not
+depend on a.  :func:`integrate` builds these matrices with numpy for blocks
+of ``_BLOCK`` steps, gets the block's states from a log-depth prefix-product
+scan started at the state carried over from the previous block, and checks
+every step's error estimate before it moves to the next block.
 """
 
 import math
@@ -28,18 +37,25 @@ DEFAULT_STEP = math.pi / 4096
 
 # Dormand-Prince 5th-order stage coefficients; the embedded 4th-order
 # weights drive the local-error refusal check only (the step stays fixed).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+# Steps per block of the transfer-matrix scan.  A block's matrices take
+# ~0.25 MB, and a refused step ends the run at the end of its block.
+_BLOCK = 1024
+# StepSizeError's search for a passing step gives up beyond this many steps,
+# which bounds its trial runs' memory to ~16 MB.
+_HINT_MAX_STEPS = 1 << 20
 
 
 class StepSizeError(ConvergenceError):
@@ -68,8 +84,10 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9)
 
     Deterministic: the step count is round(z_end/step) and the actual step
     z_end/n is stored on the returned trajectory.  Raises
-    :class:`StepSizeError` (reporting a sufficient step) if the embedded
-    error estimate of any step exceeds ``max_local_error``.
+    :class:`StepSizeError` if the embedded error estimate of any step
+    exceeds ``max_local_error``; its message names a step at which a whole
+    run passes.  Raises :class:`ConvergenceError` if the trajectory becomes
+    non-finite.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -77,40 +95,105 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9)
         raise ValueError("z_end must be positive")
     n = max(1, round(z_end / step))
     h = z_end / n
-    ys = np.empty(n + 1)
-    yps = np.empty(n + 1)
-    y, yp = float(y0), float(yprime0)
-    ys[0], yps[0] = y, yp
-    ky = [0.0] * 7
-    kp = [0.0] * 7
-    z = 0.0
-    for i in range(n):
-        for s in range(7):
-            yi, pi = y, yp
-            row = _A[s]
-            for j in range(s):
-                yi += h * row[j] * ky[j]
-                pi += h * row[j] * kp[j]
-            ky[s] = pi
-            kp[s] = -(a - 2.0 * q * math.cos(2.0 * (z + _C[s] * h))) * yi
-        dy5 = sum(_B5[s] * ky[s] for s in range(7))
-        dp5 = sum(_B5[s] * kp[s] for s in range(7))
-        dy4 = sum(_B4[s] * ky[s] for s in range(7))
-        dp4 = sum(_B4[s] * kp[s] for s in range(7))
-        err = h * max(abs(dy5 - dy4), abs(dp5 - dp4))
-        if err > max_local_error:
-            needed = h * (max_local_error / err) ** 0.2
-            raise StepSizeError(
-                f"step {h:.6g} too large: local error {err:.3e} exceeds "
-                f"{max_local_error:.3e}; use step <= {needed:.3e}"
-            )
-        y += h * dy5
-        yp += h * dp5
-        z += h
-        ys[i + 1], yps[i + 1] = y, yp
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(yps))):
+    x, err = _march(a, q, y0, yprime0, h, n, max_local_error)
+    if x is None:
+        raise StepSizeError(
+            f"step {h:.6g} too large: local error {err:.3e} exceeds "
+            f"{max_local_error:.3e}; "
+            + _sufficient_step(a, q, y0, yprime0, z_end, h, err, max_local_error)
+        )
+    if not np.all(np.isfinite(x)):
         raise ConvergenceError("trajectory blew up (non-finite samples)")
-    return Trajectory(np.linspace(0.0, z_end, n + 1), ys, yps, float(a), float(q), h)
+    return Trajectory(np.linspace(0.0, z_end, n + 1), x[0], x[1], float(a), float(q), h)
+
+
+def _march(a, q, y0, yprime0, h, n, max_local_error):
+    """States (y, y') after each of n steps of size h, block by block.
+
+    Returns ``(x, None)`` with ``x`` of shape (2, n+1), or ``(None, err)``
+    with the error estimate of the first step (in step order) whose estimate
+    exceeds ``max_local_error``; no block after that step is computed.  A
+    non-finite estimate means the trajectory has blown up and raises
+    :class:`ConvergenceError`.  Overflow inside the step matrices is expected
+    on such input and is not warned about.
+    """
+    x = np.empty((2, n + 1))
+    x[:, 0] = y0, yprime0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, _BLOCK):
+            nb = min(_BLOCK, n - i0)
+            E, D = _step_matrices(a, q, h, i0, nb)
+            Q = _prefix_products(E)
+            start = x[:, i0]
+            x[:, i0 + 1 : i0 + nb + 1] = start[:, None] + Q[:, 0] * start[0] + Q[:, 1] * start[1]
+            before = x[:, i0 : i0 + nb]
+            e = D[:, 0] * before[0] + D[:, 1] * before[1]
+            err = np.maximum(np.abs(e[0]), np.abs(e[1]))
+            refused = ~(err <= max_local_error)
+            if refused.any():
+                first = float(err[np.argmax(refused)])
+                if not math.isfinite(first):
+                    raise ConvergenceError("trajectory blew up (non-finite samples)")
+                return None, first
+    return x, None
+
+
+def _step_matrices(a, q, h, i0, nb):
+    """Increment and error matrices of steps i0 .. i0+nb-1, each (2, 2, nb).
+
+    With x = (y, y') the ODE is x' = J(z) x, J = [[0, 1], [-w, 0]] and
+    w(z) = a - 2 q cos 2z.  Stage s then has slope K_s x with
+    K_s = J(z + c_s h) (I + h sum_j A_sj K_j), the step is x -> (I + E) x
+    with E = h sum_s B5_s K_s, and its embedded error estimate is D x with
+    D = h sum_s (B5_s - B4_s) K_s.  E is returned without the identity so
+    that rounding 1 + O(h) does not bias every step alike.
+    """
+    z = (i0 + np.arange(nb)) * h
+    w = a - 2.0 * q * np.cos(2.0 * (z + _C[:, None] * h))
+    K = np.empty((7, 2, 2, nb))
+    flat = K.reshape(7, -1)
+    for s in range(7):
+        G = (h * _A[s, :s] @ flat[:s]).reshape(2, 2, nb)
+        G[0, 0] += 1.0
+        G[1, 1] += 1.0
+        K[s, 0] = G[1]
+        K[s, 1] = -w[s] * G[0]
+    return (h * _B5 @ flat).reshape(2, 2, nb), (h * (_B5 - _B4) @ flat).reshape(2, 2, nb)
+
+
+def _prefix_products(E):
+    """Q_i with I + Q_i = (I + E_i) ... (I + E_1)(I + E_0), for a (2, 2, m) stack.
+
+    Hillis-Steele scan: ceil(log2 m) passes, each combining the whole stack
+    with itself shifted by d = 1, 2, 4, ... through
+    (I + A)(I + B) = I + A + B + AB.
+    """
+    Q = E.copy()
+    d = 1
+    while d < Q.shape[-1]:
+        later, earlier = Q[..., d:], Q[..., :-d]
+        Q[..., d:] = later + earlier + later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+        d *= 2
+    return Q
+
+
+def _sufficient_step(a, q, y0, yprime0, z_end, h, err, max_local_error):
+    """Message naming a step at which a whole run passes.
+
+    Starts from the 5th-order estimate h (max_local_error/err)^(1/5) and,
+    while a run at the printed step is still refused, shrinks it from that
+    run's error.  Gives up beyond _HINT_MAX_STEPS steps.
+    """
+    candidate = h * (max_local_error / err) ** 0.2
+    while True:
+        text = f"{candidate:.3e}"
+        n = max(1, round(z_end / float(text)))
+        if n > _HINT_MAX_STEPS:
+            return f"estimated step {text} needs over {_HINT_MAX_STEPS} steps and was not tried"
+        x, err = _march(a, q, y0, yprime0, z_end / n, n, max_local_error)
+        if x is not None:
+            return f"use step <= {text}"
+        candidate = 0.9 * (z_end / n) * (max_local_error / err) ** 0.2
 
 
 def _bisect_scalar(f, bracket, tol):

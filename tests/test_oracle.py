@@ -1,9 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import mathieu_mra as mm
+from mathieu_mra import oracle
 
 A_REF_3_3 = 9.915506290452134
 A_REF_5_15 = 31.957821252172874
@@ -35,9 +38,124 @@ def test_grid_shape_and_uniformity():
     assert np.max(np.abs(steps - traj.step)) <= 1e-15
 
 
+# Scalar Dormand-Prince loop that ``integrate`` replaced with the
+# transfer-matrix scan; kept as the reference the scan must reproduce.
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def reference_integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_local_error=1e-9):
+    """(ys, yps) from the scalar loop; raises StepSizeError like ``integrate``."""
+    n = max(1, round(z_end / step))
+    h = z_end / n
+    ys = np.empty(n + 1)
+    yps = np.empty(n + 1)
+    y, yp = float(y0), float(yprime0)
+    ys[0], yps[0] = y, yp
+    ky = [0.0] * 7
+    kp = [0.0] * 7
+    z = 0.0
+    for i in range(n):
+        for s in range(7):
+            yi, pi = y, yp
+            row = _REF_A[s]
+            for j in range(s):
+                yi += h * row[j] * ky[j]
+                pi += h * row[j] * kp[j]
+            ky[s] = pi
+            kp[s] = -(a - 2.0 * q * math.cos(2.0 * (z + _REF_C[s] * h))) * yi
+        dy5 = sum(_REF_B5[s] * ky[s] for s in range(7))
+        dp5 = sum(_REF_B5[s] * kp[s] for s in range(7))
+        dy4 = sum(_REF_B4[s] * ky[s] for s in range(7))
+        dp4 = sum(_REF_B4[s] * kp[s] for s in range(7))
+        err = h * max(abs(dy5 - dy4), abs(dp5 - dp4))
+        if err > max_local_error:
+            raise mm.StepSizeError(f"step {h:.6g} refused: local error {err:.3e}")
+        y += h * dy5
+        yp += h * dp5
+        z += h
+        ys[i + 1], yps[i + 1] = y, yp
+    return ys, yps
+
+
+@pytest.mark.parametrize(
+    "nu, q, y0, yprime0, z_end",
+    [
+        (1, 0.0, 1.0, 0.0, math.pi),
+        (3, 3.0, 1.0, 0.0, math.pi),
+        (5, 15.0, 1.0, 0.0, math.pi),
+        (9, 30.0, 1.0, 0.0, math.pi),
+        (3, 3.0, 1.0, 0.0, mm.DEFAULT_STEP),  # a single step
+        (5, 15.0, 0.0, 1.0, (2 * oracle._BLOCK + 3) * mm.DEFAULT_STEP),  # two blocks and a remainder
+    ],
+)
+def test_scan_matches_scalar_reference(nu, q, y0, yprime0, z_end):
+    a = mm.solve_even(mm.MathieuParams(nu, q)).a
+    traj = mm.integrate(a, q, y0, yprime0, z_end)
+    ys, yps = reference_integrate(a, q, y0, yprime0, z_end)
+    assert traj.y.shape == ys.shape
+    assert np.array_equal(traj.grid, np.linspace(0.0, z_end, len(ys)))
+    assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
+    assert np.max(np.abs(traj.yprime - yps)) <= 1e-12 * np.max(np.abs(yps))
+
+
+@pytest.mark.parametrize(
+    "a, q, step",
+    [
+        (400.0, 0.0, 0.5),
+        (400.0, 0.0, 0.2),
+        (400.0, 0.0, 2e-3),
+        (400.0, 0.0, 1.5e-3),
+        (2000.0, 0.0, 0.1),
+        (100.0, 0.0, 0.3),
+        (100.0, 0.0, 5e-3),
+        (100.0, 0.0, 3.5e-3),
+        (A_REF_5_15, 15.0, 0.02),
+        (A_REF_5_15, 15.0, mm.DEFAULT_STEP),
+    ],
+)
+def test_step_refusal_matches_scalar_reference(a, q, step):
+    def refused(f):
+        try:
+            f(a, q, 1.0, 0.0, math.pi, step=step)
+        except mm.StepSizeError:
+            return True
+        return False
+
+    assert refused(mm.integrate) == refused(reference_integrate)
+
+
 def test_step_refusal_reports_requirement():
-    with pytest.raises(mm.StepSizeError, match="use step"):
-        mm.integrate(400.0, 0.0, 1.0, 0.0, math.pi, step=0.5)
+    # The suggested step must itself pass a whole run.
+    for a, step in [(400.0, 0.5), (400.0, 0.2), (2000.0, 0.1), (100.0, 0.3)]:
+        with pytest.raises(mm.StepSizeError, match="use step") as info:
+            mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=step)
+        suggested = float(re.search(r"use step <= (\S+)$", str(info.value)).group(1))
+        assert suggested < step
+        mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=suggested)
+
+
+def test_step_refusal_hint_gives_up_on_unreachable_tolerance():
+    with pytest.raises(mm.StepSizeError, match="was not tried"):
+        mm.integrate(1.0, 0.0, 1.0, 0.0, math.pi, step=0.5, max_local_error=1e-40)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, 1e300])
+def test_non_finite_trajectory_raises_without_warnings(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mm.ConvergenceError, match="blew up"):
+            mm.integrate(a, 0.0, 1.0, 0.0, math.pi)
 
 
 def test_invalid_arguments():
