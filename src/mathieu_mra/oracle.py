@@ -100,7 +100,7 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9)
         raise StepSizeError(
             f"step {h:.6g} too large: local error {err:.3e} exceeds "
             f"{max_local_error:.3e}; "
-            + _sufficient_step(a, q, y0, yprime0, z_end, h, err, max_local_error)
+            + _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error)
         )
     if not np.all(np.isfinite(x)):
         raise ConvergenceError("trajectory blew up (non-finite samples)")
@@ -177,23 +177,35 @@ def _prefix_products(E):
     return Q
 
 
-def _sufficient_step(a, q, y0, yprime0, z_end, h, err, max_local_error):
+def _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error):
     """Message naming a step at which a whole run passes.
 
     Starts from the 5th-order estimate h (max_local_error/err)^(1/5) and,
-    while a run at the printed step is still refused, shrinks it from that
-    run's error.  Gives up beyond _HINT_MAX_STEPS steps.
+    while a run is still refused, shrinks the step from that run's error.
+    Every trial takes more steps than the refused run before it, so the
+    search ends; it gives up beyond _HINT_MAX_STEPS steps.
     """
-    candidate = h * (max_local_error / err) ** 0.2
+    candidate = (z_end / n) * (max_local_error / err) ** 0.2
     while True:
-        text = f"{candidate:.3e}"
-        n = max(1, round(z_end / float(text)))
-        if n > _HINT_MAX_STEPS:
-            return f"estimated step {text} needs over {_HINT_MAX_STEPS} steps and was not tried"
+        if candidate * _HINT_MAX_STEPS < z_end:
+            return (
+                f"estimated step {candidate:.3e} needs over {_HINT_MAX_STEPS} steps "
+                "and was not tried"
+            )
+        n = max(n + 1, round(z_end / candidate))
         x, err = _march(a, q, y0, yprime0, z_end / n, n, max_local_error)
         if x is not None:
-            return f"use step <= {text}"
+            return f"use step <= {_step_text(z_end, n)}"
         candidate = 0.9 * (z_end / n) * (max_local_error / err) ** 0.2
+
+
+def _step_text(z_end, n):
+    """The step z_end/n printed with the fewest digits (at least 4) from which
+    :func:`integrate` gets n steps back."""
+    digits = 3
+    while round(z_end / float(f"{z_end / n:.{digits}e}")) != n:
+        digits += 1
+    return f"{z_end / n:.{digits}e}"
 
 
 def _bisect_scalar(f, bracket, tol):

@@ -11,8 +11,9 @@ from mathieu_mra import oracle
 A_REF_3_3 = 9.915506290452134
 A_REF_5_15 = 31.957821252172874
 
-# Achieved series-vs-trajectory sup error for (3, 3), recorded on first run.
-COMPARE_3_3_GOLDEN = 1.2545520178264269e-13
+# Achieved series-vs-trajectory sup error for (3, 3), recorded from the
+# step-matrix integrator (the scalar loop it replaced reached 1.25e-13).
+COMPARE_3_3_GOLDEN = 1.3322676295501878e-15
 
 
 def test_harmonic_oscillator_cosine():
@@ -143,6 +144,21 @@ def test_step_refusal_reports_requirement():
         suggested = float(re.search(r"use step <= (\S+)$", str(info.value)).group(1))
         assert suggested < step
         mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=suggested)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("margin", [1.2, 2.0])
+def test_step_refusal_hint_refines_few_step_runs(n, margin):
+    # Just over the bound, the 5th-order estimate rounds back to the refused
+    # step count; the search must still take more steps, and end.
+    h = 0.05
+    _, err = oracle._march(400.0, 0.0, 1.0, 0.0, h, 1, 0.0)
+    tol = err / margin
+    with pytest.raises(mm.StepSizeError, match="use step") as info:
+        mm.integrate(400.0, 0.0, 1.0, 0.0, n * h, step=h, max_local_error=tol)
+    suggested = float(re.search(r"use step <= (\S+)$", str(info.value)).group(1))
+    assert suggested < h
+    mm.integrate(400.0, 0.0, 1.0, 0.0, n * h, step=suggested, max_local_error=tol)
 
 
 def test_step_refusal_hint_gives_up_on_unreachable_tolerance():
