@@ -8,6 +8,7 @@ negative; absolute grid offsets are carried alongside the sample arrays.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,24 @@ def _aligned_sup_diff(a, astart, b, bstart):
     return float(np.max(np.abs(pa - pb)))
 
 
+def _refine(bank, iterations):
+    """Yield (iterate, start index) after each of ``iterations`` passes.
+
+    Each pass upsamples the previous iterate (a unit impulse at index 0
+    before the first pass) and convolves it with sqrt(2) h.  After pass d
+    the iterate samples phi at k / 2**d, its first sample at k = start.
+    """
+    hmin, hker = _dense_kernel(bank.h, scale=SQRT2)
+    v = np.array([1.0])
+    start = 0
+    for _ in range(iterations):
+        up = np.zeros(2 * len(v) - 1)
+        up[::2] = v
+        v = np.convolve(up, hker)
+        start = 2 * start + hmin
+        yield v, start
+
+
 def run(bank, iterations, level):
     """Iterate the refinement map and sample phi/psi at resolution 2**-level.
 
@@ -82,17 +101,10 @@ def run(bank, iterations, level):
         raise ValueError("iterations must be >= 1")
     if level < iterations:
         raise ValueError("level must be >= iterations")
-    hmin, hker = _dense_kernel(bank.h, scale=SQRT2)
-
-    v = np.array([1.0])
-    start = 0  # grid index of v[0] at the current depth
+    v, start = np.array([1.0]), 0  # the impulse the first pass refines
     sup_prev = 1.0
     delta = math.inf
-    for _ in range(iterations):
-        up = np.zeros(2 * len(v) - 1)
-        up[::2] = v
-        nxt = np.convolve(up, hker)
-        nxt_start = 2 * start + hmin
+    for nxt, nxt_start in _refine(bank, iterations):
         sup = float(np.max(np.abs(nxt)))
         if sup > 10.0 * sup_prev:
             raise ConvergenceError("cascade diverging: is the bank normalised?")
@@ -150,17 +162,8 @@ def two_scale_residual(bank, transfer, iterations, n_freq=64):
         raise ValueError("two_scale_residual expects a sign-corrected bank")
     if iterations < 2:
         raise ValueError("need at least 2 iterations to compare consecutive iterates")
-    hmin, hker = _dense_kernel(bank.h, scale=SQRT2)
-    v = np.array([1.0])
-    start = 0
-    history = [(v, start, 0)]
-    for d in range(1, iterations + 1):
-        up = np.zeros(2 * len(v) - 1)
-        up[::2] = v
-        v = np.convolve(up, hker)
-        start = 2 * start + hmin
-        history.append((v, start, d))
-    (v_prev, s_prev, d_prev), (v_last, s_last, d_last) = history[-2], history[-1]
+    (v_prev, s_prev), (v_last, s_last) = deque(_refine(bank, iterations), maxlen=2)
+    d_prev, d_last = iterations - 1, iterations
 
     u = 2.0 * math.pi * np.arange(n_freq) / n_freq  # transfer argument
     omega = u * 2.0 ** d_last

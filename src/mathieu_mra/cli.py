@@ -7,7 +7,6 @@ so identical flags always yield byte-identical files.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +15,6 @@ from . import filterbank as fb
 from . import transform as tf
 from .core import ConvergenceError, MathieuParams, count_zeros, solve_even, value_at_zero
 from .oracle import DEFAULT_STEP, compare, integrate, shoot_even
-
-
-@dataclass
-class RunConfig:
-    command: str
-    nu: int = 0
-    q: float = 0.0
-    threshold: float = 1e-10
-    samples: int = 1024
-    iterations: int = 6
-    levels: int = 1
-    fmt: str = ""
-    output: str = ""
-    input: str = ""
-    level: int = 0
 
 
 def _fmt(x):
@@ -45,16 +29,22 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-def _prepare(cfg):
-    params = MathieuParams(cfg.nu, cfg.q)
+def _prepare(args):
+    params = MathieuParams(args.nu, args.q)
     sol = solve_even(params)
     return params, sol
 
 
-def _cmd_eigen(cfg):
-    params, sol = _prepare(cfg)
+def _bank(args):
+    """The sign-corrected bank that cascade, dwt and idwt run on."""
+    params, sol = _prepare(args)
+    return fb.sign_correct(fb.build(params, sol, args.threshold))
+
+
+def _cmd_eigen(args):
+    params, sol = _prepare(args)
     coeffs = [_fmt(c) for c in sol.coeffs]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         lines = [
             "{",
             f'  "nu": {params.nu},',
@@ -65,7 +55,7 @@ def _cmd_eigen(cfg):
             f'  "truncation_order": {sol.truncation_order}',
             "}",
         ]
-        _write(cfg.output, "\n".join(lines) + "\n")
+        _write(args.output, "\n".join(lines) + "\n")
     else:
         rows = ["field,value"]
         rows.append(f"nu,{params.nu}")
@@ -75,44 +65,50 @@ def _cmd_eigen(cfg):
         rows.append(f"truncation_order,{sol.truncation_order}")
         for k, c in enumerate(sol.coeffs):
             rows.append(f"A{2 * k + 1},{_fmt(c)}")
-        _write(cfg.output, "\n".join(rows) + "\n")
+        _write(args.output, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_filters(cfg):
-    params, sol = _prepare(cfg)
-    bank = fb.build(params, sol, cfg.threshold)
+def _cmd_filters(args):
+    params, sol = _prepare(args)
+    bank = fb.build(params, sol, args.threshold)
     lo = min(bank.support("h") + bank.support("g"))
     hi = max(bank.support("h") + bank.support("g"))
     rows = ["index,h,g"]
     for l in range(lo, hi + 1):
         rows.append(f"{l},{_fmt(bank.h.get(l, 0.0))},{_fmt(bank.g.get(l, 0.0))}")
-    _write(cfg.output, "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_spectrum(cfg):
-    params, sol = _prepare(cfg)
-    grid = fb.qmf_report(params, sol, cfg.samples)
+def _cmd_spectrum(args):
+    params, sol = _prepare(args)
+    grid = fb.qmf_report(params, sol, args.samples)
     rows = ["omega,H_re,H_im,G_re,G_im,qmf_residual"]
     for w, H, G, r in zip(grid.omegas, grid.H, grid.G, grid.qmf_residual):
         rows.append(
             f"{_fmt(w)},{_fmt(H.real)},{_fmt(H.imag)},{_fmt(G.real)},{_fmt(G.imag)},{_fmt(r)}"
         )
-    _write(cfg.output, "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_cascade(cfg):
-    params, sol = _prepare(cfg)
-    bank = fb.sign_correct(fb.build(params, sol, cfg.threshold))
-    level = cfg.level if cfg.level else cfg.iterations
-    out = cascade_mod.run(bank, cfg.iterations, level)
+def _cmd_cascade(args):
+    bank = _bank(args)
+    level = args.level if args.level else args.iterations
+    out = cascade_mod.run(bank, args.iterations, level)
     rows = ["t,phi,psi"]
     for t, p, s in zip(out.t, out.phi, out.psi):
         rows.append(f"{_fmt(t)},{_fmt(p)},{_fmt(s)}")
-    _write(cfg.output, "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(rows) + "\n")
     return 0
+
+
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r} in CSV input")
+    return value
 
 
 def _read_signal(path):
@@ -120,60 +116,64 @@ def _read_signal(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "x":
         raise ValueError("signal CSV must have a single column with header 'x'")
-    return np.array([float(v) for v in lines[1:]])
+    return np.array([_number(v) for v in lines[1:]])
 
 
-def _cmd_dwt(cfg):
-    params, sol = _prepare(cfg)
-    bank = fb.sign_correct(fb.build(params, sol, cfg.threshold))
-    signal = _read_signal(cfg.input)
-    res = tf.forward(signal, bank, cfg.levels)
+def _read_bands(path):
+    """Decomposition CSV written by dwt -> DwtResult; each band indexed 0..n-1."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != "band,index,value":
+        raise ValueError("decomposition CSV must have header 'band,index,value'")
+    bands = {}
+    for ln in lines[1:]:
+        band, idx, val = ln.split(",")
+        bands.setdefault(band, []).append((int(idx), _number(val)))
+    for band, rows in bands.items():
+        rows.sort()
+        if [i for i, _ in rows] != list(range(len(rows))):
+            raise ValueError(f"band {band} indices must be exactly 0..{len(rows) - 1}")
+    approx_keys = [b for b in bands if b.startswith("a")]
+    if len(approx_keys) != 1:
+        raise ValueError("decomposition must contain exactly one approximation band")
+    levels = int(approx_keys[0][1:])
+    names = [f"d{lev}" for lev in range(1, levels + 1)]
+    if set(bands) != {approx_keys[0], *names}:
+        raise ValueError(f"decomposition bands must be exactly {approx_keys[0]} and d1..d{levels}")
+    approx = np.array([v for _, v in bands[approx_keys[0]]])
+    details = [np.array([v for _, v in bands[key]]) for key in names]
+    return tf.DwtResult(levels, approx, details, approx.size * 2 ** levels)
+
+
+def _cmd_dwt(args):
+    bank = _bank(args)
+    signal = _read_signal(args.input)
+    res = tf.forward(signal, bank, args.levels)
     rows = ["band,index,value"]
     for i, v in enumerate(res.approx):
         rows.append(f"a{res.levels},{i},{_fmt(v)}")
     for lev, det in enumerate(res.details, start=1):
         for i, v in enumerate(det):
             rows.append(f"d{lev},{i},{_fmt(v)}")
-    _write(cfg.output, "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_idwt(cfg):
-    params, sol = _prepare(cfg)
-    bank = fb.sign_correct(fb.build(params, sol, cfg.threshold))
-    bands = {}
-    with open(cfg.input) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "band,index,value":
-        raise ValueError("decomposition CSV must have header 'band,index,value'")
-    for ln in lines[1:]:
-        band, idx, val = ln.split(",")
-        bands.setdefault(band, []).append((int(idx), float(val)))
-    approx_keys = [b for b in bands if b.startswith("a")]
-    if len(approx_keys) != 1:
-        raise ValueError("decomposition must contain exactly one approximation band")
-    levels = int(approx_keys[0][1:])
-    approx = np.array([v for _, v in sorted(bands[approx_keys[0]])])
-    details = []
-    length = approx.size * 2 ** levels
-    for lev in range(1, levels + 1):
-        key = f"d{lev}"
-        if key not in bands:
-            raise ValueError(f"missing detail band {key}")
-        details.append(np.array([v for _, v in sorted(bands[key])]))
-    res = tf.DwtResult(levels, approx, details, length)
+def _cmd_idwt(args):
+    bank = _bank(args)
+    res = _read_bands(args.input)
     signal = tf.inverse(res, bank)
     rows = ["x"] + [_fmt(v) for v in signal]
-    _write(cfg.output, "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(rows) + "\n")
     return 0
 
 
-def _cmd_validate(cfg):
-    params, sol = _prepare(cfg)
+def _cmd_validate(args):
+    params, sol = _prepare(args)
     a_shoot = shoot_even(params.nu, params.q)
     traj = integrate(sol.a, params.q, 1.0, 0.0, math.pi, step=DEFAULT_STEP)
     sup_err = compare(sol, traj)
-    grid = fb.qmf_report(params, sol, cfg.samples)
+    grid = fb.qmf_report(params, sol, args.samples)
     phase = fb.phase_pairing_residual(params, sol, grid.omegas)
     zeros_fn = count_zeros(sol)
     zeros_h = fb.count_transfer_zeros(params, sol, "H")
@@ -191,19 +191,8 @@ def _cmd_validate(cfg):
         f"smoothing-transfer zeros on full period: {zeros_h}",
         f"detail-transfer zeros on full period: {zeros_g}",
     ]
-    _write(cfg.output, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
-
-
-_HANDLERS = {
-    "eigen": _cmd_eigen,
-    "filters": _cmd_filters,
-    "spectrum": _cmd_spectrum,
-    "cascade": _cmd_cascade,
-    "dwt": _cmd_dwt,
-    "idwt": _cmd_idwt,
-    "validate": _cmd_validate,
-}
 
 
 def build_parser():
@@ -213,43 +202,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
+    def command(name, handler, help, fmt_default=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--nu", type=int, required=True, help="odd characteristic exponent")
         p.add_argument("--q", type=float, required=True, help="intensity parameter")
         p.add_argument("--output", default="", help="output path (default: stdout)")
         if fmt_default:
             p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt_default)
+        return p
 
-    p = sub.add_parser("eigen", help="characteristic value and series coefficients")
-    common(p, fmt_default="json")
+    command("eigen", _cmd_eigen, "characteristic value and series coefficients", fmt_default="json")
 
-    p = sub.add_parser("filters", help="truncated smoothing/detail tap table (CSV)")
-    common(p)
+    p = command("filters", _cmd_filters, "truncated smoothing/detail tap table (CSV)")
     p.add_argument("--threshold", type=float, default=1e-10)
 
-    p = sub.add_parser("spectrum", help="sampled transfer functions and QMF residual (CSV)")
-    common(p)
+    p = command("spectrum", _cmd_spectrum, "sampled transfer functions and QMF residual (CSV)")
     p.add_argument("--samples", type=int, default=1024)
 
-    p = sub.add_parser("cascade", help="scaling function / wavelet samples (CSV)")
-    common(p)
+    p = command("cascade", _cmd_cascade, "scaling function / wavelet samples (CSV)")
     p.add_argument("--threshold", type=float, default=1e-10)
     p.add_argument("--iterations", type=int, default=6)
     p.add_argument("--level", type=int, default=0, help="output grid level (default: iterations)")
 
-    p = sub.add_parser("dwt", help="multilevel periodic analysis of a CSV signal")
-    common(p)
+    p = command("dwt", _cmd_dwt, "multilevel periodic analysis of a CSV signal")
     p.add_argument("--threshold", type=float, default=1e-10)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--input", required=True, help="single-column CSV with header 'x'")
 
-    p = sub.add_parser("idwt", help="synthesis from a dwt decomposition CSV")
-    common(p)
+    p = command("idwt", _cmd_idwt, "synthesis from a dwt decomposition CSV")
     p.add_argument("--threshold", type=float, default=1e-10)
     p.add_argument("--input", required=True, help="CSV with header 'band,index,value'")
 
-    p = sub.add_parser("validate", help="cross-checks: shooting, trajectory, identities")
-    common(p)
+    p = command("validate", _cmd_validate, "cross-checks: shooting, trajectory, identities")
     p.add_argument("--samples", type=int, default=1024)
 
     return parser
@@ -261,14 +246,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    cfg = RunConfig(command=args.command)
-    for name in ("nu", "q", "threshold", "samples", "iterations", "levels", "fmt", "output", "input", "level"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
     try:
-        if cfg.nu < 1 or cfg.nu % 2 == 0:
-            raise ValueError("nu must be odd and >= 1")
-        return _HANDLERS[cfg.command](cfg)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import bisect
 
 MAX_HARMONICS = 2 ** 14
 TAIL_DECAY = 1e-14
@@ -186,6 +185,31 @@ def recurrence_residual(sol):
     return float(np.max(np.abs(r)))
 
 
+def bisect(f, bracket, tol):
+    """Root of scalar f in ``bracket`` = (lo, hi), whose ends f must not
+    share a sign, by bisection until the bracket is ``tol`` wide."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError(f"no sign change in bracket ({lo:.6g}, {hi:.6g})")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            if hi - lo > 16 * tol:
+                raise ConvergenceError("bisection stagnated before reaching tol")
+            break
+        fm = f(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 def _scan_zeros(f, df, lo, hi, n_grid, xtol):
     """One grid pass: (zero count, clean).  clean=False flags a hidden pair."""
     xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid  # closing node = hi
@@ -199,14 +223,12 @@ def _scan_zeros(f, df, lo, hi, n_grid, xtol):
     sgn = np.sign(fs)
     live = ~(node_zero[:-1] | node_zero[1:])  # cells away from node zeros
     change = live & (sgn[:-1] * sgn[1:] < 0)
-    for i in np.nonzero(change)[0]:
-        bisect(f, xs[i], xs[i + 1], xtol=xtol)  # refine (simple root)
-        count += 1
+    count += int(np.count_nonzero(change))  # one simple root per sign change
 
     ds = np.asarray(df(xs), dtype=float)
     suspect = live & ~change & (ds[:-1] * ds[1:] < 0)
     for i in np.nonzero(suspect)[0]:
-        xc = bisect(df, xs[i], xs[i + 1], xtol=xtol)
+        xc = bisect(df, (xs[i], xs[i + 1]), xtol)
         if f(xc) * fs[i] < 0:  # root pair sharing one cell
             return count, False
     return count, True
@@ -215,13 +237,13 @@ def _scan_zeros(f, df, lo, hi, n_grid, xtol):
 def count_function_zeros(f, df, lo, hi, n_grid=4096, max_doublings=6, xtol=1e-12):
     """Count zeros of a smooth real function on the half-open interval [lo, hi).
 
-    Grid sign changes are bracketed and refined by bisection; zeros landing
-    on grid nodes are detected by magnitude.  Two coarseness guards force a
-    grid doubling: an interior extremum whose value has the opposite sign of
-    the cell endpoints (a root pair hiding in one cell, located by bisection
-    on ``df``), and any disagreement across three consecutive grid
-    resolutions, which defends against node lattices commensurate with the
-    function's own oscillation.
+    Each grid sign change is counted as one zero; the root itself is not
+    refined.  Zeros landing on grid nodes are detected by magnitude.  Two
+    coarseness guards force a grid doubling: an interior extremum whose
+    value has the opposite sign of the cell endpoints (a root pair hiding in
+    one cell, located by bisection on ``df``), and any disagreement across
+    three consecutive grid resolutions, which defends against node lattices
+    commensurate with the function's own oscillation.
     """
     prev = None
     streak = 0

@@ -5,8 +5,10 @@ A fixed-step 5th-order Runge-Kutta scheme integrates
     y'' + (a - 2 q cos 2z) y = 0
 
 and characteristic values are recovered by shooting on the half-period
-boundary condition, entirely bypassing the tridiagonal eigensolve of
-:mod:`mathieu_mra.core` (which supplies only the default bracket centre).
+boundary condition, bypassing the tridiagonal eigensolve of
+:mod:`mathieu_mra.core`.  Shooting takes from ``core`` only the default
+bracket centre and the generic scalar bisection; the values it returns come
+from the integration, not from the eigensolve.
 
 The scheme is Dormand-Prince with its step held fixed.  Because the ODE is
 linear in x = (y, y'), each step is exactly x_{i+1} = (I + E_i) x_i and its
@@ -26,6 +28,7 @@ import numpy as np
 from .core import (
     ConvergenceError,
     MathieuParams,
+    bisect,
     evaluate,
     slope_at_zero,
     solve_even,
@@ -208,29 +211,6 @@ def _step_text(z_end, n):
     return f"{z_end / n:.{digits}e}"
 
 
-def _bisect_scalar(f, bracket, tol):
-    lo, hi = float(bracket[0]), float(bracket[1])
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no sign change in bracket ({lo:.6g}, {hi:.6g})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            if hi - lo > 16 * tol:
-                raise ConvergenceError("bisection stagnated before reaching tol")
-            break
-        fm = f(mid)
-        if flo * fm <= 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     """Characteristic value of the even odd-order solution by shooting.
 
@@ -245,7 +225,7 @@ def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     def endpoint(a):
         return integrate(a, q, 1.0, 0.0, math.pi / 2, step=step).y[-1]
 
-    return _bisect_scalar(endpoint, bracket, tol)
+    return bisect(endpoint, bracket, tol)
 
 
 def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
@@ -261,7 +241,7 @@ def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     def endpoint(a):
         return integrate(a, q, 0.0, 1.0, math.pi / 2, step=step).yprime[-1]
 
-    return _bisect_scalar(endpoint, bracket, tol)
+    return bisect(endpoint, bracket, tol)
 
 
 def compare(sol, traj):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mathieu_mra
 from mathieu_mra.cli import main
 
 
@@ -31,9 +35,22 @@ def test_eigen_csv(tmp_path):
     assert "a,1" in lines
 
 
-def test_even_order_rejected(capsys):
-    assert run_cli("eigen", "--nu", "2", "--q", "1") == 2
+SUBCOMMANDS = ("eigen", "filters", "spectrum", "cascade", "dwt", "idwt", "validate")
+
+
+@pytest.mark.parametrize("nu", ["2", "0", "-3"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_even_order_rejected(tmp_path, capsys, command, nu):
+    sig = tmp_path / "sig.csv"
+    _write_signal(sig)
+    dec = tmp_path / "dec.csv"
+    _write_bands(dec, ["a1,0,1", "d1,0,0"])
+    extra = {"dwt": ["--levels", "1", "--input", str(sig)], "idwt": ["--input", str(dec)]}
+    out = tmp_path / "out"
+    assert run_cli(command, "--nu", nu, "--q", "1", "--output", str(out),
+                   *extra.get(command, [])) == 2
     assert "nu must be odd" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unparsable_flags_exit_2(capsys):
@@ -111,6 +128,57 @@ def test_dwt_rejects_bad_header(tmp_path):
                    "--input", str(sig)) == 2
 
 
+@pytest.mark.parametrize("value, code", [("1e308", 0), ("nan", 2), ("inf", 2), ("-inf", 2)])
+def test_dwt_rejects_non_finite(tmp_path, capsys, value, code):
+    sig = tmp_path / "sig.csv"
+    out = tmp_path / "dec.csv"
+    sig.write_text(f"x\n1.0\n{value}\n")
+    assert run_cli("dwt", "--nu", "1", "--q", "0", "--levels", "1",
+                   "--input", str(sig), "--output", str(out)) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "non-finite" in capsys.readouterr().err
+
+
+def _write_bands(path, rows):
+    path.write_text("band,index,value\n" + "".join(f"{r}\n" for r in rows))
+
+
+IN_ORDER = ["a1,0,1", "a1,1,2", "d1,0,3", "d1,1,4"]
+
+
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        pytest.param(IN_ORDER, 0, None, id="in-order"),
+        pytest.param(["d1,1,4", "a1,1,2", "d1,0,3", "a1,0,1"], 0, None, id="any-order"),
+        pytest.param(["a1,0,1", "a1,0,2", "d1,0,3", "d1,1,4"], 2, "indices", id="repeated"),
+        pytest.param(["a1,0,1", "a1,2,2", "d1,0,3", "d1,1,4"], 2, "indices", id="gap"),
+        pytest.param(["a1,1,1", "a1,2,2", "d1,0,3", "d1,1,4"], 2, "indices", id="from-1"),
+        pytest.param(["a1,0,1", "a1,1,2", "d1,-1,3", "d1,0,4"], 2, "indices", id="negative"),
+        pytest.param(IN_ORDER + ["d2,0,5", "d2,1,6"], 2, "bands", id="stray-band"),
+        pytest.param(["a2,0,1", "d2,0,3"], 2, "bands", id="missing-band"),
+        pytest.param(["a1,0,1", "a1,1,inf", "d1,0,3", "d1,1,4"], 2, "non-finite", id="inf"),
+        pytest.param(["a1,0,1", "a1,1,2", "d1,0,nan", "d1,1,4"], 2, "non-finite", id="nan"),
+    ],
+)
+def test_idwt_band_checks(tmp_path, capsys, rows, code, message):
+    dec = tmp_path / "dec.csv"
+    out = tmp_path / "rec.csv"
+    _write_bands(dec, rows)
+    assert run_cli("idwt", "--nu", "1", "--q", "0",
+                   "--input", str(dec), "--output", str(out)) == code
+    if code:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        ref = tmp_path / "ref.csv"
+        _write_bands(dec, IN_ORDER)
+        assert run_cli("idwt", "--nu", "1", "--q", "0",
+                       "--input", str(dec), "--output", str(ref)) == 0
+        assert read(out) == read(ref)
+
+
 def test_dwt_rejects_bad_length(tmp_path):
     sig = tmp_path / "sig.csv"
     _write_signal(sig, n=30)
@@ -144,3 +212,11 @@ def test_byte_identical_reruns(tmp_path, args):
     assert run_cli(*args, "--output", str(a)) == 0
     assert run_cli(*args, "--output", str(b)) == 0
     assert read(a) == read(b)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # Every CLI process pays for what the package imports at start-up.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mathieu_mra.__file__)))
+    code = "import sys, mathieu_mra.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -120,18 +120,37 @@ def test_count_zeros_rejects_odd_kind():
         mm.count_zeros(mm.solve_odd(mm.MathieuParams(1, 1.0)))
 
 
-def test_count_function_zeros_refines_coarse_grid():
-    # 40 roots of cos(40x) on [0, pi) are invisible to an 8-cell scan; the
-    # extremum probe must force grid doubling until the count stabilises.
-    n = mm.count_function_zeros(
-        lambda x: np.cos(40.0 * np.asarray(x)),
-        lambda x: -40.0 * np.sin(40.0 * np.asarray(x)),
-        0.0,
-        math.pi,
-        n_grid=8,
-        max_doublings=12,
-    )
-    assert n == 40
+@pytest.mark.parametrize(
+    "f, df, expected",
+    [
+        # 40 roots of cos(40x) on [0, pi) are invisible to an 8-cell scan; the
+        # extremum probe must force grid doubling until the count stabilises.
+        (
+            lambda x: np.cos(40.0 * np.asarray(x)),
+            lambda x: -40.0 * np.sin(40.0 * np.asarray(x)),
+            40,
+        ),
+        # A root pair 2e-3 apart shares a cell until the sixth doubling; the
+        # bisection on df finds the minimum between them on every coarser grid.
+        (lambda x: (np.asarray(x) - 1.0) ** 2 - 1e-6, lambda x: 2.0 * (np.asarray(x) - 1.0), 2),
+        # 2e-6 apart: twelve doublings never split the pair, so no count is given.
+        (
+            lambda x: (np.asarray(x) - 1.0) ** 2 - 1e-12,
+            lambda x: 2.0 * (np.asarray(x) - 1.0),
+            mm.ConvergenceError,
+        ),
+    ],
+    ids=["cos40x", "pair-2e-3", "pair-2e-6"],
+)
+def test_count_function_zeros_refines_coarse_grid(f, df, expected):
+    def count():
+        return mm.count_function_zeros(f, df, 0.0, math.pi, n_grid=8, max_doublings=12)
+
+    if isinstance(expected, int):
+        assert count() == expected
+    else:
+        with pytest.raises(expected):
+            count()
 
 
 def test_antiperiodicity():
