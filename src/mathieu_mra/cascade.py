@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvergenceError
-from .filterbank import SQRT2, dtft
+from .filterbank import SQRT2, dtft, tap_arrays
 
 __all__ = ["CascadeOutput", "run", "refinement_residual", "two_scale_residual"]
 
@@ -38,12 +38,10 @@ class CascadeOutput:
 
 def _dense_kernel(coeffs, dilation=1, scale=1.0):
     """Tap map -> (start index, dense array) with taps spaced ``dilation`` apart."""
-    ls = sorted(coeffs)
-    lmin, lmax = ls[0], ls[-1]
-    arr = np.zeros((lmax - lmin) * dilation + 1)
-    for l, v in coeffs.items():
-        arr[(l - lmin) * dilation] = scale * v
-    return lmin, arr
+    idx, vals = tap_arrays(coeffs)
+    arr = np.zeros((idx[-1] - idx[0]) * dilation + 1)
+    arr[(idx - idx[0]) * dilation] = scale * vals
+    return int(idx[0]), arr
 
 
 def _aligned_sup_diff(a, astart, b, bstart):
@@ -137,8 +135,8 @@ def refinement_residual(out, bank):
     iterate is to a true fixed point of the refinement map.
     """
     acc = np.zeros_like(out.phi)
-    for l in sorted(bank.h):
-        acc += SQRT2 * bank.h[l] * np.interp(
+    for l, v in zip(*tap_arrays(bank.h)):
+        acc += SQRT2 * v * np.interp(
             2.0 * out.t - l, out.t, out.phi, left=0.0, right=0.0
         )
     return float(np.max(np.abs(out.phi - acc)))

@@ -137,6 +137,8 @@ def _read_bands(path):
     if len(approx_keys) != 1:
         raise ValueError("decomposition must contain exactly one approximation band")
     levels = int(approx_keys[0][1:])
+    if levels < 1:
+        raise ValueError(f"decomposition level must be >= 1, got {levels}")
     names = [f"d{lev}" for lev in range(1, levels + 1)]
     if set(bands) != {approx_keys[0], *names}:
         raise ValueError(f"decomposition bands must be exactly {approx_keys[0]} and d1..d{levels}")

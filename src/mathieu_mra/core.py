@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.linalg import eigh_tridiagonal
 
 MAX_HARMONICS = 2 ** 14
 TAIL_DECAY = 1e-14
+IMAG_TOL = 1e-6  # imaginary part below which a Chebyshev root counts as real
 
 
 class ConvergenceError(RuntimeError):
@@ -210,67 +212,50 @@ def bisect(f, bracket, tol):
     return 0.5 * (lo + hi)
 
 
-def _scan_zeros(f, df, lo, hi, n_grid, xtol):
-    """One grid pass: (zero count, clean).  clean=False flags a hidden pair."""
-    xs = lo + (hi - lo) * np.arange(n_grid + 1) / n_grid  # closing node = hi
-    fs = np.asarray(f(xs), dtype=float)
-    scale = np.max(np.abs(fs))
-    if scale == 0.0:
-        raise ConvergenceError("function is identically zero on the grid")
-    node_zero = np.abs(fs) <= 1e-13 * scale
-    count = int(np.count_nonzero(node_zero[:-1]))  # node hits; hi excluded
+def count_function_zeros(coeffs):
+    """Number of zeros on [0, pi) of sum_k coeffs[k] cos((2k+1) x).
 
-    sgn = np.sign(fs)
-    live = ~(node_zero[:-1] | node_zero[1:])  # cells away from node zeros
-    change = live & (sgn[:-1] * sgn[1:] < 0)
-    count += int(np.count_nonzero(change))  # one simple root per sign change
-
-    ds = np.asarray(df(xs), dtype=float)
-    suspect = live & ~change & (ds[:-1] * ds[1:] < 0)
-    for i in np.nonzero(suspect)[0]:
-        xc = bisect(df, (xs[i], xs[i + 1]), xtol)
-        if f(xc) * fs[i] < 0:  # root pair sharing one cell
-            return count, False
-    return count, True
-
-
-def count_function_zeros(f, df, lo, hi, n_grid=4096, max_doublings=6, xtol=1e-12):
-    """Count zeros of a smooth real function on the half-open interval [lo, hi).
-
-    Each grid sign change is counted as one zero; the root itself is not
-    refined.  Zeros landing on grid nodes are detected by magnitude.  Two
-    coarseness guards force a grid doubling: an interior extremum whose
-    value has the opposite sign of the cell endpoints (a root pair hiding in
-    one cell, located by bisection on ``df``), and any disagreement across
-    three consecutive grid resolutions, which defends against node lattices
-    commensurate with the function's own oscillation.
+    With c = cos x, cos((2k+1) x) = T_{2k+1}(c), so the series is f(cos x)
+    for the odd Chebyshev series f(c) = c P(c), with P even and
+    P(0) = f'(0).  The factor c gives the zero x = pi/2, and each root r of
+    P in (0, 1] the two zeros arccos(r) and arccos(-r): 2k + 1 zeros for k
+    such roots.  The candidates are the real roots of P in (0, 1], the
+    eigenvalues of its colleague matrix.  The count is certified only if P
+    changes sign exactly k times across 0, the midpoints between sorted
+    candidates and 1, and is zero at none of them.  Otherwise (a double
+    root, a root pair round-off blurs, a zero at x = 0 or pi/2)
+    ConvergenceError is raised; there is no fallback.
     """
-    prev = None
-    streak = 0
-    for _ in range(max_doublings + 1):
-        count, clean = _scan_zeros(f, df, lo, hi, n_grid, xtol)
-        if clean:
-            streak = streak + 1 if count == prev else 1
-            prev = count
-            if streak == 3:
-                return count
-        else:
-            streak, prev = 0, None
-        n_grid *= 2
-    raise ConvergenceError("zero count did not stabilise after grid refinement")
+    a = np.asarray(coeffs, dtype=float)
+    scale = np.max(np.abs(a))
+    if scale == 0.0:
+        raise ConvergenceError("zero count of an identically zero series")
+    f = np.zeros(2 * len(a))
+    f[1::2] = a
+    f = f[: np.nonzero(np.abs(f) >= 1e-16 * scale)[0][-1] + 1]
+    P, _ = chebyshev.chebdiv(f, [0.0, 1.0])
+    roots = chebyshev.chebroots(P)
+    # Round-off splits a double root into two roots about sqrt(eps) apart,
+    # possibly off the real axis; keeping near-real ones as candidates lets
+    # the certificate reject the pair.
+    roots = np.sort(roots[np.abs(roots.imag) <= IMAG_TOL].real)
+    cand = roots[(roots > 0.0) & (roots <= 1.0)]
+    probes = np.concatenate([[0.0], 0.5 * (cand[1:] + cand[:-1]), [1.0]])
+    signs = np.sign(chebyshev.chebval(probes, P))
+    if np.any(signs == 0.0) or np.count_nonzero(signs[1:] != signs[:-1]) != len(cand):
+        raise ConvergenceError(
+            f"zero count not certified: {len(cand)} Chebyshev roots in (0, 1] "
+            "without a matching sign change each"
+        )
+    return 2 * len(cand) + 1
 
 
-def count_zeros(sol, lo=0.0, hi=math.pi, n_grid=4096):
-    """Number of zeros of an even solution on [lo, hi) (default one half period).
+def count_zeros(sol):
+    """Number of zeros of an even solution on one half period [0, pi).
 
-    An order-nu even solution has exactly nu zeros on [0, pi).
+    An order-nu even solution has exactly nu zeros there (oscillation
+    theorem); the count is :func:`count_function_zeros` of its coefficients.
     """
     if sol.kind != "even-ce":
         raise ValueError("count_zeros requires an even-ce solution")
-    return count_function_zeros(
-        lambda x: evaluate(sol, x),
-        lambda x: evaluate_derivative(sol, x),
-        lo,
-        hi,
-        n_grid=n_grid,
-    )
+    return count_function_zeros(sol.coeffs)

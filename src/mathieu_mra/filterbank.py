@@ -22,7 +22,6 @@ from .core import (
     MathieuParams,
     count_function_zeros,
     evaluate,
-    evaluate_derivative,
     solve_even,
     solve_odd,
     value_at_zero,
@@ -120,11 +119,15 @@ def sign_correct(bank):
     return FilterBank(bank.nu, bank.q, h, dict(bank.g), bank.threshold, True)
 
 
+def tap_arrays(coeffs):
+    """Tap map {index: coefficient} -> (indices, values) arrays, ascending index."""
+    ls = sorted(coeffs)
+    return np.array(ls, dtype=int), np.array([coeffs[l] for l in ls], dtype=float)
+
+
 def dtft(coeffs, omega):
     """(1/sqrt 2) sum_k c_k exp(-i omega k), summed in ascending index order."""
-    ls = sorted(coeffs)
-    vals = np.array([coeffs[l] for l in ls], dtype=float)
-    idx = np.array(ls, dtype=float)
+    idx, vals = tap_arrays(coeffs)
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     z = np.sum(vals[:, None] * np.exp(-1j * np.outer(idx, om)), axis=0) / SQRT2
     if np.ndim(omega) == 0:
@@ -215,32 +218,23 @@ def normalization_residuals(bank):
 
     Returns (|sum h / sqrt2 + 1|, |sum (-1)^k h_k|).
     """
-    ls = np.array(bank.support("h"))
-    vals = np.array([bank.h[l] for l in ls])
+    ls, vals = tap_arrays(bank.h)
     dc = abs(float(np.sum(vals)) / SQRT2 + (1.0 if not bank.sign_corrected else -1.0))
     alt = abs(float(np.sum(np.where(ls % 2 == 0, vals, -vals))))
     return dc, alt
 
 
-def count_transfer_zeros(params, sol, which="H", n_grid=8192):
+def count_transfer_zeros(params, sol, which="H"):
     """Zeros of |H| (or |G|) on the frequency interval [0, 2*pi).
 
-    Counts sign changes of the real-valued series factor on the mapped
-    half-open argument interval (w/2 on [0, pi) for H, (w-pi)/2 on
-    [-pi/2, pi/2) for G), which avoids double counting at tangential minima
-    of the magnitude.
+    |H(w)| is |ce(w/2)| / ce(0) and |G(w)| is |ce((w - pi)/2)| / ce(0), so
+    the zeros are those of ce on [0, pi) for H and on [-pi/2, pi/2) for G.
+    The odd harmonics make ce(x + pi) = -ce(x): its zeros repeat with
+    period pi, and every half-open interval of length pi holds the same
+    number.  Both counts are therefore :func:`count_function_zeros` of the
+    coefficients, the zeros of ce on [0, pi).
     """
     _check_pair(params, sol)
-    if which == "H":
-        lo, hi = 0.0, math.pi
-    elif which == "G":
-        lo, hi = -math.pi / 2.0, math.pi / 2.0
-    else:
+    if which not in ("H", "G"):
         raise ValueError("which must be 'H' or 'G'")
-    return count_function_zeros(
-        lambda x: evaluate(sol, x),
-        lambda x: evaluate_derivative(sol, x),
-        lo,
-        hi,
-        n_grid=n_grid,
-    )
+    return count_function_zeros(sol.coeffs)

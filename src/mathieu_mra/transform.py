@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .filterbank import tap_arrays
+
 
 @dataclass(frozen=True)
 class DwtResult:
@@ -24,19 +26,13 @@ class DwtResult:
     boundary: str = field(default="periodic")
 
 
-def _taps(bank, which):
-    coeffs = bank.h if which == "h" else bank.g
-    ls = sorted(coeffs)
-    return ls, [coeffs[l] for l in ls]
-
-
 def _analysis_step(x, bank):
     n = x.size // 2
     pos = 2 * np.arange(n)
     approx = np.zeros(n)
     detail = np.zeros(n)
-    for which, out in (("h", approx), ("g", detail)):
-        for l, v in zip(*_taps(bank, which)):
+    for taps, out in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
             out += v * x[(pos + l) % x.size]
     return approx, detail
 
@@ -47,8 +43,8 @@ def _synthesis_step(approx, detail, bank):
     size = 2 * approx.size
     pos = 2 * np.arange(approx.size)
     x = np.zeros(size)
-    for which, sub in (("h", approx), ("g", detail)):
-        for l, v in zip(*_taps(bank, which)):
+    for taps, sub in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
             np.add.at(x, (pos + l) % size, v * sub)
     return x
 

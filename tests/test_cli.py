@@ -160,6 +160,7 @@ IN_ORDER = ["a1,0,1", "a1,1,2", "d1,0,3", "d1,1,4"]
         pytest.param(["a2,0,1", "d2,0,3"], 2, "bands", id="missing-band"),
         pytest.param(["a1,0,1", "a1,1,inf", "d1,0,3", "d1,1,4"], 2, "non-finite", id="inf"),
         pytest.param(["a1,0,1", "a1,1,2", "d1,0,nan", "d1,1,4"], 2, "non-finite", id="nan"),
+        pytest.param(["a0,0,5"], 2, "level", id="level-0"),
     ],
 )
 def test_idwt_band_checks(tmp_path, capsys, rows, code, message):

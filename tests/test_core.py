@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C, polynomial as P
 
 import mathieu_mra as mm
 
@@ -120,37 +121,31 @@ def test_count_zeros_rejects_odd_kind():
         mm.count_zeros(mm.solve_odd(mm.MathieuParams(1, 1.0)))
 
 
-@pytest.mark.parametrize(
-    "f, df, expected",
-    [
-        # 40 roots of cos(40x) on [0, pi) are invisible to an 8-cell scan; the
-        # extremum probe must force grid doubling until the count stabilises.
-        (
-            lambda x: np.cos(40.0 * np.asarray(x)),
-            lambda x: -40.0 * np.sin(40.0 * np.asarray(x)),
-            40,
-        ),
-        # A root pair 2e-3 apart shares a cell until the sixth doubling; the
-        # bisection on df finds the minimum between them on every coarser grid.
-        (lambda x: (np.asarray(x) - 1.0) ** 2 - 1e-6, lambda x: 2.0 * (np.asarray(x) - 1.0), 2),
-        # 2e-6 apart: twelve doublings never split the pair, so no count is given.
-        (
-            lambda x: (np.asarray(x) - 1.0) ** 2 - 1e-12,
-            lambda x: 2.0 * (np.asarray(x) - 1.0),
-            mm.ConvergenceError,
-        ),
-    ],
-    ids=["cos40x", "pair-2e-3", "pair-2e-6"],
-)
-def test_count_function_zeros_refines_coarse_grid(f, df, expected):
-    def count():
-        return mm.count_function_zeros(f, df, 0.0, math.pi, n_grid=8, max_doublings=12)
+def _odd_series(poly):
+    """cos((2k+1)x) coefficients of the odd power series ``poly`` in c = cos x."""
+    return C.poly2cheb(poly)[1::2]
 
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # cos 41x: 20 roots of P in (0, 1], the last 7e-4 below c = 1.
+        (np.eye(21)[20], 41),
+        # c (c^2 - 1/4)(c^2 - 1/4 - 1e-3): a simple root pair 1e-3 apart at
+        # c = 0.5, split by the midpoint probe.
+        (_odd_series(P.polymul([0, 1], P.polymul([-0.25, 0, 1], [-0.251, 0, 1]))), 5),
+        # c (c^2 - 1/4)^2: a double root, no sign change, so no count.
+        (_odd_series(P.polymul([0, 1], P.polymul([-0.25, 0, 1], [-0.25, 0, 1]))),
+         mm.ConvergenceError),
+    ],
+    ids=["cos41x", "pair-1e-3", "double-root"],
+)
+def test_count_function_zeros_certificate(coeffs, expected):
     if isinstance(expected, int):
-        assert count() == expected
+        assert mm.count_function_zeros(coeffs) == expected
     else:
         with pytest.raises(expected):
-            count()
+            mm.count_function_zeros(coeffs)
 
 
 def test_antiperiodicity():

@@ -195,6 +195,21 @@ def test_zero_design_spot_checks():
         assert mm.count_transfer_zeros(params, sol, "G") == nu
 
 
+@pytest.mark.parametrize("q", [-20.0, -1.0, 0.0, 0.5, 15.0, 40.0, 200.0])
+@pytest.mark.parametrize("nu", [1, 3, 5, 7, 9, 11])
+def test_three_zero_counts_equal_nu(nu, q):
+    params, sol = _pair(nu, q)
+    assert mm.count_zeros(sol) == nu
+    assert mm.count_transfer_zeros(params, sol, "H") == nu
+    assert mm.count_transfer_zeros(params, sol, "G") == nu
+
+
+def test_count_transfer_zeros_rejects_unknown_filter():
+    params, sol = _pair(3, 3.0)
+    with pytest.raises(ValueError):
+        mm.count_transfer_zeros(params, sol, "X")
+
+
 def test_truncation_monotone_in_threshold():
     params, sol = _pair(3, 3.0)
     counts = []
