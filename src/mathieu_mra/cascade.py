@@ -2,8 +2,8 @@
 
 Starting from a unit impulse, each pass upsamples by two and convolves with
 sqrt(2) h, the discrete refinement map whose fixed point samples the
-scaling function phi on the dyadic grid.  The wavelet psi follows from one
-final detail-filter convolution on the doubled grid.  Tap indices may be
+scaling function phi on the dyadic grid.  The same passes started from
+sqrt(2) g sample the wavelet psi one level finer.  Tap indices may be
 negative; absolute grid offsets are carried alongside the sample arrays.
 """
 
@@ -36,11 +36,11 @@ class CascadeOutput:
         self.psi.setflags(write=False)
 
 
-def _dense_kernel(coeffs, dilation=1, scale=1.0):
-    """Tap map -> (start index, dense array) with taps spaced ``dilation`` apart."""
+def _dense_kernel(coeffs):
+    """Tap map -> (start index, dense array of sqrt(2) times the taps)."""
     idx, vals = tap_arrays(coeffs)
-    arr = np.zeros((idx[-1] - idx[0]) * dilation + 1)
-    arr[(idx - idx[0]) * dilation] = scale * vals
+    arr = np.zeros(idx[-1] - idx[0] + 1)
+    arr[idx - idx[0]] = SQRT2 * vals
     return int(idx[0]), arr
 
 
@@ -55,16 +55,15 @@ def _aligned_sup_diff(a, astart, b, bstart):
     return float(np.max(np.abs(pa - pb)))
 
 
-def _refine(bank, iterations):
+def _refine(bank, iterations, v, start):
     """Yield (iterate, start index) after each of ``iterations`` passes.
 
-    Each pass upsamples the previous iterate (a unit impulse at index 0
-    before the first pass) and convolves it with sqrt(2) h.  After pass d
-    the iterate samples phi at k / 2**d, its first sample at k = start.
+    Each pass upsamples the previous iterate (first the seed ``v``, its
+    first sample at index ``start``) and convolves it with sqrt(2) h.
+    Seeded with the unit impulse at 0, pass d samples phi at k / 2**d from
+    k = start; seeded with sqrt(2) g, it samples psi at k / 2**(d+1).
     """
-    hmin, hker = _dense_kernel(bank.h, scale=SQRT2)
-    v = np.array([1.0])
-    start = 0
+    hmin, hker = _dense_kernel(bank.h)
     for _ in range(iterations):
         up = np.zeros(2 * len(v) - 1)
         up[::2] = v
@@ -91,7 +90,8 @@ def run(bank, iterations, level):
     Returns
     -------
     CascadeOutput; ``delta`` is the sup-norm change of the final pass
-    measured against the previous iterate on the shared coarser grid.
+    measured against the previous iterate on the shared coarser grid.  psi
+    is the same passes seeded with sqrt(2) g: Psi^(w) = G(w/2) Phi^(w/2).
     """
     if not bank.sign_corrected:
         raise ValueError("cascade requires a sign-corrected bank (DC gain +1)")
@@ -99,10 +99,10 @@ def run(bank, iterations, level):
         raise ValueError("iterations must be >= 1")
     if level < iterations:
         raise ValueError("level must be >= iterations")
-    v, start = np.array([1.0]), 0  # the impulse the first pass refines
+    v, start = np.ones(1), 0  # the impulse the first pass refines
     sup_prev = 1.0
     delta = math.inf
-    for nxt, nxt_start in _refine(bank, iterations):
+    for nxt, nxt_start in _refine(bank, iterations, v, start):
         sup = float(np.max(np.abs(nxt)))
         if sup > 10.0 * sup_prev:
             raise ConvergenceError("cascade diverging: is the bank normalised?")
@@ -111,13 +111,11 @@ def run(bank, iterations, level):
         delta = _aligned_sup_diff(v, start, nxt[off::2], (nxt_start + off) // 2)
         v, start, sup_prev = nxt, nxt_start, sup
 
-    dil = 2 ** iterations
-    gmin, gker = _dense_kernel(bank.g, dilation=dil, scale=SQRT2)
-    psi_raw = np.convolve(v, gker)
-    psi_start = start + gmin * dil  # index on the doubled (level iterations+1) grid
+    gmin, gker = _dense_kernel(bank.g)
+    psi_raw, psi_start = deque(_refine(bank, iterations, gker, gmin), maxlen=1)[0]
 
-    t_phi = (start + np.arange(len(v))) / float(dil)
-    t_psi = (psi_start + np.arange(len(psi_raw))) / float(2 * dil)
+    t_phi = (start + np.arange(len(v))) / 2.0 ** iterations
+    t_psi = (psi_start + np.arange(len(psi_raw))) / 2.0 ** (iterations + 1)
     step = 2.0 ** (-level)
     k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
     k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)
@@ -160,7 +158,7 @@ def two_scale_residual(bank, transfer, iterations, n_freq=64):
         raise ValueError("two_scale_residual expects a sign-corrected bank")
     if iterations < 2:
         raise ValueError("need at least 2 iterations to compare consecutive iterates")
-    (v_prev, s_prev), (v_last, s_last) = deque(_refine(bank, iterations), maxlen=2)
+    (v_prev, s_prev), (v_last, s_last) = deque(_refine(bank, iterations, np.ones(1), 0), maxlen=2)
     d_prev, d_last = iterations - 1, iterations
 
     u = 2.0 * math.pi * np.arange(n_freq) / n_freq  # transfer argument

@@ -20,6 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 
 MAX_HARMONICS = 2 ** 14
 TAIL_DECAY = 1e-14
+EIGEN_TOL = 1e-12  # eigenvalue change between harmonic doublings that ends the solve
 IMAG_TOL = 1e-6  # imaginary part below which a Chebyshev root counts as real
 
 
@@ -74,9 +75,7 @@ def _initial_order(nu, q):
     return max(25, nu + math.ceil(2.0 * math.sqrt(abs(q))) + 10)
 
 
-def _solve(kind, params, tolerance):
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+def _solve(kind, params):
     nu, q = params.nu, float(params.q)
     index = (nu - 1) // 2
     n = _initial_order(nu, q)
@@ -95,71 +94,75 @@ def _solve(kind, params, tolerance):
         a = float(w[index])
         vec = v[:, index].copy()
         tail_ok = abs(vec[-1]) < TAIL_DECAY * np.max(np.abs(vec))
-        if prev_a is not None and abs(a - prev_a) < tolerance and tail_ok:
+        if prev_a is not None and abs(a - prev_a) < EIGEN_TOL and tail_ok:
             break
         prev_a = a
         n *= 2
-    if kind == "even-ce":
-        sign = np.sum(vec)
-    else:
-        sign = np.sum(m * vec)  # slope at 0
+    sign = np.sum(vec) if kind == "even-ce" else np.sum(m * vec)  # value or slope at 0
     if sign < 0:
         vec = -vec
     return EigenSolution(kind, nu, q, a, vec, n)
 
 
-def solve_even(params, tolerance=1e-12):
+def solve_even(params):
     """Even 2*pi-periodic solution of order nu: a_nu(q) and cosine coefficients.
 
     The tridiagonal operator has diagonal (1+q, 9, 25, ...) and constant
     off-diagonal q; a_nu(q) is its ((nu+1)/2)-th smallest eigenvalue.  The
     harmonic count is grown (doubling) until the eigenvalue moves by less
-    than ``tolerance`` and the coefficient tail has decayed below 1e-14
+    than ``EIGEN_TOL`` and the coefficient tail has decayed below 1e-14
     relative to the largest coefficient.
     """
-    return _solve("even-ce", params, tolerance)
+    return _solve("even-ce", params)
 
 
-def solve_odd(params, tolerance=1e-12):
+def solve_odd(params):
     """Odd 2*pi-periodic solution of order nu: b_nu(q) and sine coefficients.
 
     Same operator as :func:`solve_even` except the first diagonal entry is
     (1 - q), the sign flip the sine series produces in its first recurrence
     row.
     """
-    return _solve("odd-se", params, tolerance)
+    return _solve("odd-se", params)
+
+
+def _chebyshev(coeffs):
+    f = np.zeros(2 * len(coeffs))
+    f[1::2] = coeffs
+    return f
+
+
+def _series(kind, coeffs, x):
+    """Clenshaw sum of sum_k coeffs[k] cos((2k+1) x) ("even-ce") or sin((2k+1) x),
+    as cos((2k+1) x) = T_{2k+1}(cos x) and sin((2k+1) x) = (-1)^k T_{2k+1}(sin x)."""
+    if kind == "even-ce":
+        vals = chebyshev.chebval(np.cos(x), _chebyshev(coeffs))
+    else:
+        alt = np.resize([1.0, -1.0], len(coeffs))
+        vals = chebyshev.chebval(np.sin(x), _chebyshev(alt * coeffs))
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def evaluate(sol, x):
-    """Evaluate the harmonic series at x (scalar or array), ascending harmonics."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    arg = np.outer(sol.harmonics(), xa)
-    basis = np.cos(arg) if sol.kind == "even-ce" else np.sin(arg)
-    vals = np.sum(sol.coeffs[:, None] * basis, axis=0)
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+    """Evaluate the harmonic series at x (scalar or array) by Clenshaw's
+    recurrence on its odd Chebyshev series in cos x (even) or sin x (odd)."""
+    return _series(sol.kind, sol.coeffs, x)
 
 
 def evaluate_derivative(sol, x):
-    """d/dx of :func:`evaluate` at x, same calling convention."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    """d/dx of :func:`evaluate` at x: a sine series with coefficients -m c_m
+    for the even kind, a cosine series with m c_m for the odd kind."""
     m = sol.harmonics()
-    arg = np.outer(m, xa)
     if sol.kind == "even-ce":
-        vals = np.sum((-m * sol.coeffs)[:, None] * np.sin(arg), axis=0)
-    else:
-        vals = np.sum((m * sol.coeffs)[:, None] * np.cos(arg), axis=0)
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+        return _series("odd-se", -m * sol.coeffs, x)
+    return _series("even-ce", m * sol.coeffs, x)
 
 
 def value_at_zero(sol):
-    """Sum of the cosine coefficients: the even solution's value at x=0 (> 0)."""
+    """The even solution's value at x=0 (> 0), exactly :func:`evaluate` at 0."""
     if sol.kind != "even-ce":
         raise ValueError("value_at_zero requires an even-ce solution")
-    return float(np.sum(sol.coeffs))
+    return _series(sol.kind, sol.coeffs, 0.0)
 
 
 def slope_at_zero(sol):
@@ -230,9 +233,7 @@ def count_function_zeros(coeffs):
     scale = np.max(np.abs(a))
     if scale == 0.0:
         raise ConvergenceError("zero count of an identically zero series")
-    f = np.zeros(2 * len(a))
-    f[1::2] = a
-    f = f[: np.nonzero(np.abs(f) >= 1e-16 * scale)[0][-1] + 1]
+    f = _chebyshev(a[: np.nonzero(np.abs(a) >= 1e-16 * scale)[0][-1] + 1])
     P, _ = chebyshev.chebdiv(f, [0.0, 1.0])
     roots = chebyshev.chebroots(P)
     # Round-off splits a double root into two roots about sqrt(eps) apart,
@@ -250,12 +251,21 @@ def count_function_zeros(coeffs):
     return 2 * len(cand) + 1
 
 
+def _order_zero_count(sol):
+    """count_function_zeros of sol, refused unless it is nu (oscillation theorem)."""
+    n = count_function_zeros(sol.coeffs)
+    if n != sol.nu:
+        raise ConvergenceError(f"zero count {n} is not nu={sol.nu} (q={sol.q})")
+    return n
+
+
 def count_zeros(sol):
     """Number of zeros of an even solution on one half period [0, pi).
 
     An order-nu even solution has exactly nu zeros there (oscillation
-    theorem); the count is :func:`count_function_zeros` of its coefficients.
+    theorem); the count is :func:`count_function_zeros` of its coefficients,
+    and any other count raises ConvergenceError.
     """
     if sol.kind != "even-ce":
         raise ValueError("count_zeros requires an even-ce solution")
-    return count_function_zeros(sol.coeffs)
+    return _order_zero_count(sol)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (
     MathieuParams,
-    count_function_zeros,
+    _order_zero_count,
     evaluate,
     solve_even,
     solve_odd,
@@ -130,9 +130,7 @@ def dtft(coeffs, omega):
     idx, vals = tap_arrays(coeffs)
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     z = np.sum(vals[:, None] * np.exp(-1j * np.outer(idx, om)), axis=0) / SQRT2
-    if np.ndim(omega) == 0:
-        return complex(z[0])
-    return z
+    return complex(z[0]) if np.ndim(omega) == 0 else z
 
 
 def transfer_H(params, sol, omega):
@@ -144,9 +142,7 @@ def transfer_H(params, sol, omega):
     _check_pair(params, sol)
     om = np.asarray(omega, dtype=float)
     val = -np.exp(-0.5j * params.nu * om) * evaluate(sol, om / 2.0) / value_at_zero(sol)
-    if np.ndim(omega) == 0:
-        return complex(val)
-    return val
+    return complex(val) if np.ndim(omega) == 0 else val
 
 
 def transfer_G(params, sol, omega):
@@ -158,9 +154,7 @@ def transfer_G(params, sol, omega):
     om = np.asarray(omega, dtype=float)
     phase = np.exp(0.5j * (params.nu - 2) * (om - math.pi))
     val = phase * evaluate(sol, (om - math.pi) / 2.0) / value_at_zero(sol)
-    if np.ndim(omega) == 0:
-        return complex(val)
-    return val
+    return complex(val) if np.ndim(omega) == 0 else val
 
 
 def magnitude_G_via_se(params, omega, sol_even=None, sol_odd=None):
@@ -177,9 +171,7 @@ def magnitude_G_via_se(params, omega, sol_even=None, sol_odd=None):
     ce0 = value_at_zero(sol_even)
     om = np.asarray(omega, dtype=float)
     val = np.abs(evaluate(sol_odd, om / 2.0)) / ce0
-    if np.ndim(omega) == 0:
-        return float(val)
-    return val
+    return float(val) if np.ndim(omega) == 0 else val
 
 
 def phase_pairing_residual(params, sol, omegas):
@@ -196,16 +188,16 @@ def qmf_report(params, sol, n_samples):
     ``qmf_residual`` holds | |H(w)|^2 + |H(w+pi)|^2 - 1 | per sample; it is
     reported, not asserted, because the closed forms only satisfy power
     complementarity exactly at q = 0.  The phase-pairing identity, which the
-    closed forms do satisfy identically, is verified here to 1e-10.
+    closed forms do satisfy identically, is verified here to 1e-10.  H and G
+    are 2*pi-periodic for odd nu, so their samples at w + pi are a roll.
     """
     if n_samples < 2 or n_samples % 2:
         raise ValueError("n_samples must be even and >= 2")
     om = 2.0 * math.pi * np.arange(n_samples) / n_samples
     H = transfer_H(params, sol, om)
     G = transfer_G(params, sol, om)
-    H_shift = transfer_H(params, sol, om + math.pi)
-    qmf = np.abs(np.abs(H) ** 2 + np.abs(H_shift) ** 2 - 1.0)
-    phase = phase_pairing_residual(params, sol, om)
+    qmf = np.abs(np.abs(H) ** 2 + np.abs(np.roll(H, -n_samples // 2)) ** 2 - 1.0)
+    phase = np.abs(H + np.exp(-1j * om) * np.conj(np.roll(G, -n_samples // 2)))
     if np.max(phase) > 1e-10:
         raise RuntimeError(
             f"phase-pairing identity violated: max residual {np.max(phase):.3e}"
@@ -231,10 +223,10 @@ def count_transfer_zeros(params, sol, which="H"):
     the zeros are those of ce on [0, pi) for H and on [-pi/2, pi/2) for G.
     The odd harmonics make ce(x + pi) = -ce(x): its zeros repeat with
     period pi, and every half-open interval of length pi holds the same
-    number.  Both counts are therefore :func:`count_function_zeros` of the
-    coefficients, the zeros of ce on [0, pi).
+    number.  Both counts are therefore that of :func:`count_zeros`, and a
+    count other than nu raises ConvergenceError.
     """
     _check_pair(params, sol)
     if which not in ("H", "G"):
         raise ValueError("which must be 'H' or 'G'")
-    return count_function_zeros(sol.coeffs)
+    return _order_zero_count(sol)

@@ -6,6 +6,7 @@ import pytest
 import mathieu_mra as mm
 from mathieu_mra import FilterBank
 from mathieu_mra.cascade import dtft_transfer
+from mathieu_mra.filterbank import tap_arrays
 
 # Fixed-point diagnostics recorded on first run (slow sup-norm convergence
 # is expected: the q != 0 scaling functions have low regularity).
@@ -117,3 +118,46 @@ def test_wavelet_support_between_filter_extents():
     hi = 0.5 * (ls_h[-1] + ls_g[-1])
     live = np.abs(out.psi) > 1e-12
     assert out.t[live][0] >= lo - 1.0 and out.t[live][-1] <= hi + 1.0
+
+
+def _dense_kernel_psi(bank, iterations, level):
+    """Reference form of run(): phi from the impulse refinement, psi by one
+    convolution of phi with sqrt(2) g spread 2**iterations apart (a dense
+    kernel that is mostly zeros)."""
+    def dense(coeffs, dilation):
+        idx, vals = tap_arrays(coeffs)
+        arr = np.zeros((idx[-1] - idx[0]) * dilation + 1)
+        arr[(idx - idx[0]) * dilation] = math.sqrt(2.0) * vals
+        return int(idx[0]), arr
+
+    hmin, hker = dense(bank.h, 1)
+    v, start = np.array([1.0]), 0
+    for _ in range(iterations):
+        up = np.zeros(2 * len(v) - 1)
+        up[::2] = v
+        v, start = np.convolve(up, hker), 2 * start + hmin
+    dil = 2 ** iterations
+    gmin, gker = dense(bank.g, dil)
+    psi_raw = np.convolve(v, gker)
+    t_phi = (start + np.arange(len(v))) / dil
+    t_psi = (start + gmin * dil + np.arange(len(psi_raw))) / (2 * dil)
+    step = 2.0 ** (-level)
+    k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
+    k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)
+    t = (k_lo + np.arange(k_hi - k_lo + 1)) * step
+    return (
+        t,
+        np.interp(t, t_phi, v, left=0.0, right=0.0),
+        np.interp(t, t_psi, psi_raw, left=0.0, right=0.0),
+    )
+
+
+@pytest.mark.parametrize("iterations", [4, 6, 10])
+@pytest.mark.parametrize("nu,q", [(3, 3.0), (5, 15.0), (9, 20.0)])
+def test_psi_from_g_seed_matches_dense_kernel(nu, q, iterations):
+    _, _, bank = _bank(nu, q, 1e-10)
+    out = mm.run(bank, iterations, iterations)
+    t, phi, psi = _dense_kernel_psi(bank, iterations, iterations)
+    assert np.array_equal(out.t, t)
+    assert np.array_equal(out.phi, phi)
+    assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))

@@ -191,3 +191,54 @@ def test_coefficients_immutable():
     sol = mm.solve_even(mm.MathieuParams(3, 3.0))
     with pytest.raises(ValueError):
         sol.coeffs[0] = 0.0
+
+
+def _outer_evaluate(sol, x):
+    """The N x M cos/sin basis-matrix form of evaluate, kept as a reference."""
+    arg = np.outer(sol.harmonics(), x)
+    basis = np.cos(arg) if sol.kind == "even-ce" else np.sin(arg)
+    return np.sum(sol.coeffs[:, None] * basis, axis=0)
+
+
+def _outer_evaluate_derivative(sol, x):
+    m = sol.harmonics()
+    arg = np.outer(m, x)
+    if sol.kind == "even-ce":
+        return np.sum((-m * sol.coeffs)[:, None] * np.sin(arg), axis=0)
+    return np.sum((m * sol.coeffs)[:, None] * np.cos(arg), axis=0)
+
+
+@pytest.mark.parametrize("nu,q", [(1, 0.0), (3, 3.0), (5, 15.0), (9, 30.0), (3, -20.0)])
+@pytest.mark.parametrize("solver", [mm.solve_even, mm.solve_odd])
+def test_clenshaw_matches_basis_matrix(solver, nu, q):
+    sol = solver(mm.MathieuParams(nu, q))
+    x = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1001)
+    bound = 1e-14 * np.sum(np.abs(sol.harmonics() * sol.coeffs))
+    assert np.max(np.abs(mm.evaluate(sol, x) - _outer_evaluate(sol, x))) <= bound
+    assert np.max(np.abs(
+        mm.evaluate_derivative(sol, x) - _outer_evaluate_derivative(sol, x)
+    )) <= bound
+    assert isinstance(mm.evaluate(sol, 0.3), float)
+    assert isinstance(mm.evaluate_derivative(sol, 0.3), float)
+
+
+@pytest.mark.parametrize(
+    "nu,q,certified", [(1, -200.0, True), (3, 300.0, True), (1, -400.0, False), (3, 700.0, False)]
+)
+def test_zero_count_refuses_what_oscillation_theorem_forbids(nu, q, certified):
+    # Past these q, ce is below round-off near x = 0 (q >> 0) or pi/2
+    # (q << 0) and the certified root count reads 3 at (1, -400) and 9 at
+    # (3, 700); every count other than nu must raise instead.
+    params = mm.MathieuParams(nu, q)
+    sol = mm.solve_even(params)
+    counts = (
+        lambda: mm.count_zeros(sol),
+        lambda: mm.count_transfer_zeros(params, sol, "H"),
+        lambda: mm.count_transfer_zeros(params, sol, "G"),
+    )
+    for count in counts:
+        if certified:
+            assert count() == nu
+        else:
+            with pytest.raises(mm.ConvergenceError, match=f"nu={nu}"):
+                count()

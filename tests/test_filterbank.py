@@ -163,6 +163,18 @@ def test_qmf_residual_decays_with_q():
     assert res[0] > res[1] > res[2]
 
 
+@pytest.mark.parametrize("nu,q", [(1, 0.0), (3, 3.0), (5, 15.0), (9, 30.0)])
+def test_qmf_report_matches_five_evaluations(nu, q):
+    # Reference: H(w + pi) and the phase pairing evaluated directly at the
+    # shifted frequencies instead of read off the sampled grid.
+    params, sol = _pair(nu, q)
+    grid = mm.qmf_report(params, sol, 1024)
+    H_shift = mm.transfer_H(params, sol, grid.omegas + math.pi)
+    qmf = np.abs(np.abs(mm.transfer_H(params, sol, grid.omegas)) ** 2 + np.abs(H_shift) ** 2 - 1.0)
+    assert np.max(np.abs(grid.qmf_residual - qmf)) <= 1e-13
+    assert np.max(mm.phase_pairing_residual(params, sol, grid.omegas)) <= 1e-10
+
+
 def test_qmf_report_validates_sampling():
     params, sol = _pair(1, 0.0)
     with pytest.raises(ValueError):
