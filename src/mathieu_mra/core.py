@@ -8,7 +8,12 @@ of odd order nu are expanded in odd harmonics, y = sum_m c_m cos(m x) or
 sum_m c_m sin(m x) with m = 1, 3, 5, ...  The three-term recurrence among
 the harmonic coefficients is a symmetric tridiagonal operator, so the
 characteristic value a_nu(q) (resp. b_nu(q)) and the coefficient vector
-come out of a tridiagonal eigensolve.
+come out of one symmetric eigensolve, ``numpy.linalg.eigh`` on the dense
+operator.  Its Householder reduction leaves tridiagonal input unchanged,
+and it ends in the same divide-and-conquer LAPACK solver (?stedc) as a
+tridiagonal solve.  The harmonic count doubles until the eigenvalue moves
+by less than ``EIGEN_TOL``, or than its round-off ``ROUNDOFF`` (|a| + 2|q|)
+where that is larger, and the coefficient tail has decayed.
 """
 
 import math
@@ -16,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.linalg import eigh_tridiagonal
 
-MAX_HARMONICS = 2 ** 14
+MAX_HARMONICS = 2 ** 11  # the dense operator is at most 32 MB
 TAIL_DECAY = 1e-14
-EIGEN_TOL = 1e-12  # eigenvalue change between harmonic doublings that ends the solve
+# Eigenvalue change between harmonic doublings that ends the solve.  Past
+# |a| + 2|q| ~ 280 the round-off term is the larger: the eigenvalue jitters
+# by up to ~7 eps (|a| + 2|q|) from one doubling to the next (measured for
+# nu <= 15, q <= 1e4), the scale of the operator rows its eigenvector
+# lives in, and need never settle below 1e-12.
+EIGEN_TOL = 1e-12
+ROUNDOFF = 16 * np.finfo(float).eps
 IMAG_TOL = 1e-6  # imaginary part below which a Chebyshev root counts as real
 
 
@@ -81,25 +91,28 @@ def _solve(kind, params):
     n = _initial_order(nu, q)
     prev_a = None
     while True:
-        if n > MAX_HARMONICS:
+        # The first pass only sets prev_a, so it needs room for one doubling.
+        if (n if prev_a is not None else 2 * n) > MAX_HARMONICS:
             raise ConvergenceError(
                 f"eigensolve did not converge below {MAX_HARMONICS} harmonics "
                 f"(nu={nu}, q={q})"
             )
         m = 2.0 * np.arange(n) + 1.0
-        diag = m * m
-        diag[0] += q if kind == "even-ce" else -q
-        off = np.full(n - 1, q)
-        w, v = eigh_tridiagonal(diag, off)
+        op = np.diag(m * m)
+        op[0, 0] += q if kind == "even-ce" else -q
+        op[np.arange(1, n), np.arange(n - 1)] = q  # eigh reads the lower triangle
+        w, v = np.linalg.eigh(op)
         a = float(w[index])
         vec = v[:, index].copy()
         tail_ok = abs(vec[-1]) < TAIL_DECAY * np.max(np.abs(vec))
-        if prev_a is not None and abs(a - prev_a) < EIGEN_TOL and tail_ok:
+        tol = max(EIGEN_TOL, ROUNDOFF * (abs(a) + 2.0 * abs(q)))
+        if prev_a is not None and abs(a - prev_a) < tol and tail_ok:
             break
         prev_a = a
         n *= 2
-    sign = np.sum(vec) if kind == "even-ce" else np.sum(m * vec)  # value or slope at 0
-    if sign < 0:
+    # The value (even kind) or slope (odd kind) at 0, summed exactly as
+    # value_at_zero and slope_at_zero sum it, so their sign is the one fixed here.
+    if _series("even-ce", vec if kind == "even-ce" else m * vec, 0.0) < 0:
         vec = -vec
     return EigenSolution(kind, nu, q, a, vec, n)
 
@@ -110,8 +123,9 @@ def solve_even(params):
     The tridiagonal operator has diagonal (1+q, 9, 25, ...) and constant
     off-diagonal q; a_nu(q) is its ((nu+1)/2)-th smallest eigenvalue.  The
     harmonic count is grown (doubling) until the eigenvalue moves by less
-    than ``EIGEN_TOL`` and the coefficient tail has decayed below 1e-14
-    relative to the largest coefficient.
+    than ``EIGEN_TOL`` (or its round-off, see the module docstring) and the
+    coefficient tail has decayed below 1e-14 relative to the largest
+    coefficient; ConvergenceError past ``MAX_HARMONICS``.
     """
     return _solve("even-ce", params)
 
@@ -166,10 +180,10 @@ def value_at_zero(sol):
 
 
 def slope_at_zero(sol):
-    """Derivative at x=0 of an odd solution: sum of m * coeff_m (> 0)."""
+    """Derivative at x=0 of an odd solution (> 0), exactly :func:`evaluate_derivative` at 0."""
     if sol.kind != "odd-se":
         raise ValueError("slope_at_zero requires an odd-se solution")
-    return float(np.sum(sol.harmonics() * sol.coeffs))
+    return evaluate_derivative(sol, 0.0)
 
 
 def recurrence_residual(sol):

@@ -215,9 +215,54 @@ def test_byte_identical_reruns(tmp_path, args):
     assert read(a) == read(b)
 
 
-def test_import_leaves_out_scipy_optimize():
-    # Every CLI process pays for what the package imports at start-up.
+def _run_python(code, *args):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mathieu_mra.__file__)))
-    code = "import sys, mathieu_mra.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _modules_after_import(prefix):
+    # Every CLI process pays for what the package imports at start-up.
+    code = "import sys, mathieu_mra.cli; print(sorted(m for m in sys.modules if m.startswith(sys.argv[1])))"
+    return _run_python(code, prefix).strip()
+
+
+def test_import_leaves_out_scipy_optimize():
+    assert _modules_after_import("scipy.optimize") == "[]"
+
+
+def test_import_leaves_out_scipy():
+    assert _modules_after_import("scipy") == "[]"
+
+
+def test_all_subcommands_run_without_scipy(tmp_path):
+    sig = tmp_path / "sig.csv"
+    _write_signal(sig)
+    design = ["--nu", "3", "--q", "3"]
+    runs = {
+        "eigen.json": ["eigen", *design],
+        "eigen.csv": ["eigen", *design, "--format", "csv"],
+        "filters.csv": ["filters", *design],
+        "spectrum.csv": ["spectrum", *design, "--samples", "64"],
+        "cascade.csv": ["cascade", *design, "--iterations", "4"],
+        "dec.csv": ["dwt", *design, "--levels", "2", "--input", str(sig)],
+        "rec.csv": ["idwt", *design, "--input", "{dir}/dec.csv"],
+        "validate.txt": ["validate", *design, "--samples", "64"],
+    }
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from mathieu_mra.cli import main\n"
+        "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+        "for name, args in runs.items():\n"
+        "    args = [a.format(dir=out) for a in args]\n"
+        "    assert main([*args, '--output', f'{out}/{name}']) == 0, args\n"
+    )
+    for side in ("bare", "ref"):
+        (tmp_path / side).mkdir()
+    _run_python(code, str(tmp_path / "bare"), json.dumps(runs))
+    for name, args in runs.items():
+        args = [a.format(dir=tmp_path / "ref") for a in args]
+        assert run_cli(*args, "--output", str(tmp_path / "ref" / name)) == 0
+    for name in runs:
+        assert read(tmp_path / "bare" / name) == read(tmp_path / "ref" / name), name

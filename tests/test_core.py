@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C, polynomial as P
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import mathieu_a, mathieu_b
 
 import mathieu_mra as mm
 
@@ -242,3 +244,86 @@ def test_zero_count_refuses_what_oscillation_theorem_forbids(nu, q, certified):
         else:
             with pytest.raises(mm.ConvergenceError, match=f"nu={nu}"):
                 count()
+
+
+def reference_solve(kind, params):
+    """The doubling loop on scipy's tridiagonal eigensolver, kept as the
+    reference for the dense ``numpy.linalg.eigh`` one."""
+    nu, q = params.nu, float(params.q)
+    index = (nu - 1) // 2
+    n = mm.core._initial_order(nu, q)
+    prev_a = None
+    while True:
+        assert n <= mm.core.MAX_HARMONICS
+        m = 2.0 * np.arange(n) + 1.0
+        diag = m * m
+        diag[0] += q if kind == "even-ce" else -q
+        w, v = eigh_tridiagonal(diag, np.full(n - 1, q))
+        a = float(w[index])
+        vec = v[:, index].copy()
+        tail_ok = abs(vec[-1]) < mm.core.TAIL_DECAY * np.max(np.abs(vec))
+        tol = max(mm.core.EIGEN_TOL, mm.core.ROUNDOFF * (abs(a) + 2.0 * abs(q)))
+        if prev_a is not None and abs(a - prev_a) < tol and tail_ok:
+            break
+        prev_a = a
+        n *= 2
+    if mm.core._series("even-ce", vec if kind == "even-ce" else m * vec, 0.0) < 0:
+        vec = -vec
+    return a, vec, n
+
+
+REFERENCE_QS = sorted(set(np.linspace(-40.0, 60.0, 101)) | {0.0, 0.5, 100.0, 200.0, 300.0, 500.0, 800.0})
+
+
+@pytest.mark.parametrize("solver", [mm.solve_even, mm.solve_odd])
+@pytest.mark.parametrize("nu", range(1, 14, 2))
+def test_dense_eigh_matches_tridiagonal_reference(solver, nu):
+    # Measured: identical bits on every design of the grid.
+    kind = "even-ce" if solver is mm.solve_even else "odd-se"
+    for q in REFERENCE_QS:
+        params = mm.MathieuParams(nu, q)
+        a, vec, n = reference_solve(kind, params)
+        sol = solver(params)
+        assert sol.truncation_order == n, q
+        assert abs(sol.a - a) <= 1e-14 * abs(a), q
+        assert np.max(np.abs(sol.coeffs - vec)) <= 1e-14, q
+
+
+@pytest.mark.parametrize(
+    "solver,nu,q",
+    [(mm.solve_even, 1, 1950.0), (mm.solve_even, 3, 1400.0), (mm.solve_even, 3, 1450.0),
+     (mm.solve_even, 5, 1550.0), (mm.solve_even, 5, 1600.0),
+     (mm.solve_odd, 1, 1900.0), (mm.solve_odd, 7, 1410.0)],
+)
+def test_stop_test_reachable_at_large_q(solver, nu, q):
+    # Round-off keeps the eigenvalue change between doublings above the
+    # absolute EIGEN_TOL here; the even five once doubled to the cap.  The
+    # odd two also defeat a round-off term of 16 ulp(a): a jitters by more.
+    sol = solver(mm.MathieuParams(nu, q))
+    reference = mathieu_a if solver is mm.solve_even else mathieu_b
+    assert sol.truncation_order <= 512
+    assert abs(sol.a - reference(nu, q)) <= 1e-14 * abs(sol.a)
+
+
+@pytest.mark.parametrize("q", [3e5, 1e7])
+def test_cap_raises_without_a_solve(monkeypatch, q):
+    # 3e5 starts at 1106 harmonics: a first pass there could not double.
+    def no_solve(*args):
+        raise AssertionError("eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    with pytest.raises(mm.ConvergenceError, match="2048 harmonics"):
+        mm.solve_even(mm.MathieuParams(1, q))
+
+
+@pytest.mark.parametrize(
+    "solver,nu,q",
+    [(mm.solve_even, 1, 850.0), (mm.solve_even, 5, 1300.0), (mm.solve_even, 9, 1200.0),
+     (mm.solve_odd, 3, 500.0)],
+)
+def test_sign_fixed_by_the_reported_sum_at_zero(solver, nu, q):
+    # ce(0) and se'(0) are at round-off here; the sign was once fixed by the
+    # eigenvector's plain sum, and the Clenshaw sum read ce(0) < 0.
+    sol = solver(mm.MathieuParams(nu, q))
+    at_zero = mm.value_at_zero if solver is mm.solve_even else mm.slope_at_zero
+    assert at_zero(sol) > 0.0

@@ -52,6 +52,19 @@ def test_build_rejects_bad_inputs():
         mm.build(params, sol, 1.0)  # nothing survives
 
 
+@pytest.mark.parametrize("q,builds", [(200.0, True), (250.0, True), (300.0, False), (450.0, False)])
+def test_build_refuses_ce0_at_round_off(q, builds):
+    # ce(0) / (eps sum |A_k|) is 8.8e4, 3.3e3, 170 and 0.23 at these q, and
+    # build asks for 1000; at q = 450 the exact ce(0) is -4.7e-17.
+    params, sol = _pair(1, q)
+    if builds:
+        dc, _ = mm.normalization_residuals(mm.build(params, sol, 0.0))
+        assert dc <= 1e-4
+    else:
+        with pytest.raises(mm.ConvergenceError, match="round-off"):
+            mm.build(params, sol, 0.0)
+
+
 @pytest.mark.parametrize("nu,q", [(3, 3.0), (5, 15.0)])
 def test_truncation_tap_counts_and_boundaries(nu, q):
     params, sol, bank = _pair(nu, q, 1e-10)
