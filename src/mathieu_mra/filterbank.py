@@ -200,8 +200,10 @@ def qmf_report(params, sol, n_samples):
     ``qmf_residual`` holds | |H(w)|^2 + |H(w+pi)|^2 - 1 | per sample; it is
     reported, not asserted, because the closed forms only satisfy power
     complementarity exactly at q = 0.  The phase-pairing identity, which the
-    closed forms do satisfy identically, is verified here to 1e-10.  H and G
-    are 2*pi-periodic for odd nu, so their samples at w + pi are a roll.
+    closed forms do satisfy identically, is verified here to 1e-10; where
+    round-off in ce breaks it (from q ~ 55 at nu = 1) the report raises
+    :class:`ConvergenceError`.  H and G are 2*pi-periodic for odd nu, so
+    their samples at w + pi are a roll.
     """
     if n_samples < 2 or n_samples % 2:
         raise ValueError("n_samples must be even and >= 2")
@@ -211,7 +213,7 @@ def qmf_report(params, sol, n_samples):
     qmf = np.abs(np.abs(H) ** 2 + np.abs(np.roll(H, -n_samples // 2)) ** 2 - 1.0)
     phase = np.abs(H + np.exp(-1j * om) * np.conj(np.roll(G, -n_samples // 2)))
     if np.max(phase) > 1e-10:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"phase-pairing identity violated: max residual {np.max(phase):.3e}"
         )
     return SpectrumGrid(om, H, G, qmf)

@@ -2,8 +2,11 @@
 
 Analysis correlates the signal with each filter (taps applied at
 circularly wrapped positions 2n + l) and keeps every second sample;
-synthesis is the adjoint.  With the q = 0 banks the pair is orthonormal
-and reconstruction is exact; for q != 0 the round-trip error tracks the
+synthesis is the adjoint.  Both work in polyphase form: position
+(2n + l) mod N is sample (n + l//2) mod N/2 of phase l mod 2, so each tap
+is two contiguous slice updates on one phase.  With the q = 0 banks the
+pair is orthonormal and synthesis inverts analysis exactly; for q != 0
+synthesis is only the adjoint, and the round-trip error tracks the
 power-complementarity defect of the transfer functions and is reported
 rather than assumed small.
 """
@@ -26,26 +29,37 @@ class DwtResult:
     boundary: str = field(default="periodic")
 
 
-def _analysis_step(x, bank):
+def _taps(bank):
+    """(index, value) pairs of h and of g, ascending index."""
+    return [list(zip(l.tolist(), v.tolist())) for l, v in map(tap_arrays, (bank.h, bank.g))]
+
+
+def _analysis_step(x, taps):
     n = x.size // 2
-    pos = 2 * np.arange(n)
-    approx = np.zeros(n)
-    detail = np.zeros(n)
-    for taps, out in ((bank.h, approx), (bank.g, detail)):
-        for l, v in zip(*tap_arrays(taps)):
-            out += v * x[(pos + l) % x.size]
-    return approx, detail
+    phases = x[0::2].copy(), x[1::2].copy()
+    bands = []
+    for filt in taps:
+        out = np.zeros(n)
+        for l, v in filt:
+            ph, s = phases[l % 2], (l // 2) % n
+            out[:n - s] += v * ph[s:]
+            out[n - s:] += v * ph[:s]
+        bands.append(out)
+    return bands
 
 
-def _synthesis_step(approx, detail, bank):
+def _synthesis_step(approx, detail, taps):
     if approx.size != detail.size:
         raise ValueError("subband shape mismatch")
-    size = 2 * approx.size
-    pos = 2 * np.arange(approx.size)
-    x = np.zeros(size)
-    for taps, sub in ((bank.h, approx), (bank.g, detail)):
-        for l, v in zip(*tap_arrays(taps)):
-            np.add.at(x, (pos + l) % size, v * sub)
+    n = approx.size
+    phases = np.zeros((2, n))
+    for filt, sub in zip(taps, (approx, detail)):
+        for l, v in filt:
+            ph, s = phases[l % 2], (l // 2) % n
+            ph[s:] += v * sub[:n - s]
+            ph[:s] += v * sub[n - s:]
+    x = np.empty(2 * n)
+    x[0::2], x[1::2] = phases
     return x
 
 
@@ -64,20 +78,26 @@ def forward(signal, bank, levels):
         raise ValueError("signal length must be divisible by 2**levels")
     if len(bank.h) < 2 or len(bank.g) < 2:
         raise ValueError("filter bank is empty")
+    taps = _taps(bank)
     details = []
     cur = x
     for _ in range(levels):
-        cur, d = _analysis_step(cur, bank)
+        cur, d = _analysis_step(cur, taps)
         details.append(d)
     return DwtResult(levels, cur, details, x.size)
 
 
 def inverse(res, bank):
-    """Synthesis cascade undoing :func:`forward` (same bank required)."""
+    """Synthesis cascade, the adjoint of :func:`forward` (same bank required).
+
+    It inverts :func:`forward` exactly only where the bank is orthonormal,
+    i.e. at q = 0; for q != 0 the round trip is not the identity.
+    """
     expected = res.length // (2 ** res.levels)
     if res.approx.size != expected or len(res.details) != res.levels:
         raise ValueError("decomposition shape mismatch")
+    taps = _taps(bank)
     x = res.approx
     for d in reversed(res.details):
-        x = _synthesis_step(x, d, bank)
+        x = _synthesis_step(x, d, taps)
     return x

@@ -198,6 +198,16 @@ def test_validate_report(tmp_path):
     assert "detail-transfer zeros on full period: 3" in text
 
 
+@pytest.mark.parametrize("command", ["spectrum", "validate"])
+def test_phase_pairing_failure_exit_3(tmp_path, capsys, command):
+    # Round-off in ce breaks the 1e-10 phase-pairing check from q ~ 55 at nu = 1.
+    assert run_cli(command, "--nu", "1", "--q", "50", "--output", str(tmp_path / "ok")) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(command, "--nu", "1", "--q", "55", "--output", str(tmp_path / "bad")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase-pairing identity violated") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

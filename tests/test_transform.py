@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mathieu_mra as mm
+from mathieu_mra.filterbank import tap_arrays
 
 # Round-trip sup errors for the seeded length-64 signal, recorded.
 ROUNDTRIP_3_3_L3 = 1.2173002200267717
@@ -120,3 +121,49 @@ def test_inverse_shape_mismatch():
     broken = mm.DwtResult(res.levels, res.approx, [res.details[0][:-1], res.details[1]], res.length)
     with pytest.raises(ValueError):
         mm.inverse(broken, bank)
+
+
+# The gather / np.add.at steps that preceded the polyphase form, kept as
+# the reference: every output sample gets the same products in the same
+# tap order, so the two must agree bit for bit.
+def _reference_analysis_step(x, bank):
+    n = x.size // 2
+    pos = 2 * np.arange(n)
+    approx = np.zeros(n)
+    detail = np.zeros(n)
+    for taps, out in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
+            out += v * x[(pos + l) % x.size]
+    return approx, detail
+
+
+def _reference_synthesis_step(approx, detail, bank):
+    size = 2 * approx.size
+    pos = 2 * np.arange(approx.size)
+    x = np.zeros(size)
+    for taps, sub in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
+            np.add.at(x, (pos + l) % size, v * sub)
+    return x
+
+
+@pytest.mark.parametrize("nu,q", [(1, 0.0), (3, 0.0), (3, 3.0), (5, 5.0), (5, 15.0), (7, 20.0)])
+def test_polyphase_matches_gather_reference_bit_for_bit(nu, q):
+    bank = _bank(nu, q)
+    if q:
+        # Negative detail indices exercise the floor division of l // 2.
+        assert min(bank.g) < 0 and min(bank.h) < 0
+    rng = np.random.default_rng(nu * 100 + int(q))
+    for k in range(1, 13):
+        x = rng.standard_normal(2 ** k)
+        for levels in range(1, k + 1):
+            res = mm.forward(x, bank, levels)
+            cur = x
+            for d in res.details:
+                cur, ref_d = _reference_analysis_step(cur, bank)
+                assert np.array_equal(d, ref_d)
+            assert np.array_equal(res.approx, cur)
+            ref = res.approx
+            for d in reversed(res.details):
+                ref = _reference_synthesis_step(ref, d, bank)
+            assert np.array_equal(mm.inverse(res, bank), ref)
