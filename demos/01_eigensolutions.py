@@ -54,4 +54,4 @@ for nu, q in ((3, 3.0), (5, 15.0)):
     print(f"            |difference| = {abs(sol.a - a_shoot):.2e}, "
           f"series vs trajectory sup error = {sup:.2e}")
 print("\nThe two routes share no code path: one is linear algebra on the")
-print("coefficient recurrence, the other numerical integration plus bisection.")
+print("coefficient recurrence, the other numerical integration plus root finding.")

@@ -172,11 +172,10 @@ def _cmd_idwt(args):
 
 def _cmd_validate(args):
     params, sol = _prepare(args)
-    a_shoot = shoot_even(params.nu, params.q)
+    a_shoot = shoot_even(params.nu, params.q, bracket=(sol.a - 0.5, sol.a + 0.5))
     traj = integrate(sol.a, params.q, 1.0, 0.0, math.pi, step=DEFAULT_STEP)
     sup_err = compare(sol, traj)
     grid = fb.qmf_report(params, sol, args.samples)
-    phase = fb.phase_pairing_residual(params, sol, grid.omegas)
     zeros_fn = count_zeros(sol)
     zeros_h = fb.count_transfer_zeros(params, sol, "H")
     zeros_g = fb.count_transfer_zeros(params, sol, "G")
@@ -187,7 +186,7 @@ def _cmd_validate(args):
         f"characteristic value (shooting): {_fmt(a_shoot)}",
         f"matrix vs shooting difference: {_fmt(abs(sol.a - a_shoot))}",
         f"series vs trajectory sup error: {_fmt(sup_err)}",
-        f"phase-pairing identity max residual: {_fmt(np.max(phase))}",
+        f"phase-pairing identity max residual: {_fmt(np.max(grid.phase_residual))}",
         f"power-complementarity max residual: {_fmt(np.max(grid.qmf_residual))}",
         f"series zeros on half period: {zeros_fn}",
         f"smoothing-transfer zeros on full period: {zeros_h}",

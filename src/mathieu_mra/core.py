@@ -204,9 +204,21 @@ def recurrence_residual(sol):
     return float(np.max(np.abs(r)))
 
 
-def bisect(f, bracket, tol):
+def find_root(f, bracket, tol):
     """Root of scalar f in ``bracket`` = (lo, hi), whose ends f must not
-    share a sign, by bisection until the bracket is ``tol`` wide."""
+    share a sign: the midpoint of a sign-changing bracket no wider than ``tol``.
+
+    ITP (Oliveira & Takahashi 2020, ACM TOMS 47(1)) with kappa1 =
+    0.2/(hi - lo), kappa2 = 2 and n0 = 1: the regula falsi point, moved
+    towards the midpoint by delta = kappa1 w^2 (w the current width), then
+    projected to within r of the midpoint, r shrinking so that the bracket
+    never lags bisection by more than n0 halvings.  Superlinear on smooth f;
+    at worst n0 evaluations more than bisection, plus one where round-off
+    leaves the last width a hair above tol.  delta is floored at tol/2:
+    below round-off (w ~ 1e-7) the iterates would land on ends already
+    evaluated, while tol/2 steps past the root far enough to close the
+    bracket.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -215,17 +227,32 @@ def bisect(f, bracket, tol):
         return hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change in bracket ({lo:.6g}, {hi:.6g})")
+    kappa1 = 0.2 / (hi - lo)
+    r_max = 0.5 * tol * 2.0 ** (max(0, math.ceil(math.log2((hi - lo) / tol))) + 1)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             if hi - lo > 16 * tol:
-                raise ConvergenceError("bisection stagnated before reaching tol")
+                raise ConvergenceError("root bracket stagnated before reaching tol")
             break
-        fm = f(mid)
-        if flo * fm <= 0.0:
-            hi = mid
+        falsi = (lo * fhi - hi * flo) / (fhi - flo)
+        toward_mid = math.copysign(1.0, mid - falsi)
+        delta = max(kappa1 * (hi - lo) ** 2, 0.5 * tol)
+        x = falsi + toward_mid * delta if delta <= abs(mid - falsi) else mid
+        r = r_max - 0.5 * (hi - lo)
+        if abs(x - mid) > r:
+            x = mid - toward_mid * r
+        if not lo < x < hi:
+            # delta or r below the float spacing of the ends: x rounded onto one.
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
         else:
-            lo, flo = mid, fm
+            hi, fhi = x, fx
+        r_max *= 0.5
     return 0.5 * (lo + hi)
 
 

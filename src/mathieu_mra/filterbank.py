@@ -60,9 +60,10 @@ class SpectrumGrid:
     H: np.ndarray
     G: np.ndarray
     qmf_residual: np.ndarray
+    phase_residual: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.omegas, self.H, self.G, self.qmf_residual):
+        for arr in (self.omegas, self.H, self.G, self.qmf_residual, self.phase_residual):
             arr.setflags(write=False)
 
 
@@ -199,11 +200,12 @@ def qmf_report(params, sol, n_samples):
 
     ``qmf_residual`` holds | |H(w)|^2 + |H(w+pi)|^2 - 1 | per sample; it is
     reported, not asserted, because the closed forms only satisfy power
-    complementarity exactly at q = 0.  The phase-pairing identity, which the
-    closed forms do satisfy identically, is verified here to 1e-10; where
-    round-off in ce breaks it (from q ~ 55 at nu = 1) the report raises
-    :class:`ConvergenceError`.  H and G are 2*pi-periodic for odd nu, so
-    their samples at w + pi are a roll.
+    complementarity exactly at q = 0.  ``phase_residual`` holds the
+    phase-pairing residual |H(w) + exp(-iw) conj(G(w+pi))| per sample.  The
+    closed forms satisfy that identity identically, and it is verified here
+    to 1e-10; where round-off in ce breaks it (from q ~ 55 at nu = 1) the
+    report raises :class:`ConvergenceError`.  H and G are 2*pi-periodic for
+    odd nu, so their samples at w + pi are a roll.
     """
     if n_samples < 2 or n_samples % 2:
         raise ValueError("n_samples must be even and >= 2")
@@ -216,7 +218,7 @@ def qmf_report(params, sol, n_samples):
         raise ConvergenceError(
             f"phase-pairing identity violated: max residual {np.max(phase):.3e}"
         )
-    return SpectrumGrid(om, H, G, qmf)
+    return SpectrumGrid(om, H, G, qmf, phase)
 
 
 def normalization_residuals(bank):

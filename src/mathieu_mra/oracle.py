@@ -7,8 +7,9 @@ A fixed-step 5th-order Runge-Kutta scheme integrates
 and characteristic values are recovered by shooting on the half-period
 boundary condition, bypassing the tridiagonal eigensolve of
 :mod:`mathieu_mra.core`.  Shooting takes from ``core`` only the default
-bracket centre and the generic scalar bisection; the values it returns come
-from the integration, not from the eigensolve.
+bracket centre and the generic scalar root finder (ITP, which brackets the
+root like bisection); the values it returns come from the integration, not
+from the eigensolve.
 
 The scheme is Dormand-Prince with its step held fixed.  Because the ODE is
 linear in x = (y, y'), each step is exactly x_{i+1} = (I + E_i) x_i and its
@@ -28,8 +29,8 @@ import numpy as np
 from .core import (
     ConvergenceError,
     MathieuParams,
-    bisect,
     evaluate,
+    find_root,
     slope_at_zero,
     solve_even,
     solve_odd,
@@ -214,9 +215,10 @@ def _step_text(z_end, n):
 def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     """Characteristic value of the even odd-order solution by shooting.
 
-    Bisects on a -> y(pi/2) for the trajectory with y(0)=1, y'(0)=0; an
-    even solution of odd order vanishes at the quarter period.  The default
-    bracket is the matrix eigenvalue +/- 0.5.
+    Finds the root of a -> y(pi/2) for the trajectory with y(0)=1, y'(0)=0
+    by ITP (:func:`mathieu_mra.core.find_root`); an even solution of odd
+    order vanishes at the quarter period.  The default bracket is the matrix
+    eigenvalue +/- 0.5.
     """
     if bracket is None:
         center = solve_even(MathieuParams(nu, q)).a
@@ -225,14 +227,16 @@ def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     def endpoint(a):
         return integrate(a, q, 1.0, 0.0, math.pi / 2, step=step).y[-1]
 
-    return bisect(endpoint, bracket, tol)
+    return find_root(endpoint, bracket, tol)
 
 
 def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     """Characteristic value of the odd odd-order solution by shooting.
 
-    Bisects on a -> y'(pi/2) for the trajectory with y(0)=0, y'(0)=1; an
-    odd solution of odd order has a flat point at the quarter period.
+    Finds the root of a -> y'(pi/2) for the trajectory with y(0)=0,
+    y'(0)=1 by ITP (:func:`mathieu_mra.core.find_root`); an odd solution of
+    odd order has a flat point at the quarter period.  The default bracket
+    is the matrix eigenvalue +/- 0.5.
     """
     if bracket is None:
         center = solve_odd(MathieuParams(nu, q)).a
@@ -241,7 +245,7 @@ def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     def endpoint(a):
         return integrate(a, q, 0.0, 1.0, math.pi / 2, step=step).yprime[-1]
 
-    return bisect(endpoint, bracket, tol)
+    return find_root(endpoint, bracket, tol)
 
 
 def compare(sol, traj):

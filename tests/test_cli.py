@@ -198,6 +198,30 @@ def test_validate_report(tmp_path):
     assert "detail-transfer zeros on full period: 3" in text
 
 
+def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
+    # The trajectory comparison evaluates the series once on 4097 points and
+    # qmf_report once each for H and G; the printed phase-pairing residual is
+    # qmf_report's, and the shooting bracket comes from the CLI's eigensolve.
+    from mathieu_mra import filterbank, oracle
+
+    sizes = []
+
+    def recording(evaluate):
+        def wrapped(sol, x):
+            sizes.append(np.size(x))
+            return evaluate(sol, x)
+        return wrapped
+
+    def no_solve(params):
+        raise AssertionError("shoot_even solved the eigenproblem again")
+
+    monkeypatch.setattr(filterbank, "evaluate", recording(filterbank.evaluate))
+    monkeypatch.setattr(oracle, "evaluate", recording(oracle.evaluate))
+    monkeypatch.setattr(oracle, "solve_even", no_solve)
+    assert run_cli("validate", "--nu", "3", "--q", "3", "--output", str(tmp_path / "v")) == 0
+    assert sizes == [4097, 1024, 1024]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "validate"])
 def test_phase_pairing_failure_exit_3(tmp_path, capsys, command):
     # Round-off in ce breaks the 1e-10 phase-pairing check from q ~ 55 at nu = 1.

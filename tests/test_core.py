@@ -7,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
 import mathieu_mra as mm
+from mathieu_mra import core
 
 # Published characteristic values for the two showcase parameter pairs.
 A_REF_3_3 = 9.915506290452134
@@ -327,3 +328,72 @@ def test_sign_fixed_by_the_reported_sum_at_zero(solver, nu, q):
     sol = solver(mm.MathieuParams(nu, q))
     at_zero = mm.value_at_zero if solver is mm.solve_even else mm.slope_at_zero
     assert at_zero(sol) > 0.0
+
+
+def _counting(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize(
+    "f, bracket, root",
+    [
+        (math.cos, (1.0, 2.0), math.pi / 2),
+        (lambda x: 2.0 * x - 3.1, (1.0, 2.0), 1.55),
+        (lambda x: 3.1 - 2.0 * x, (1.0, 2.0), 1.55),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+def test_find_root_within_tol(f, bracket, root, tol):
+    assert abs(core.find_root(f, bracket, tol) - root) <= tol
+
+
+def test_find_root_returns_zero_endpoint():
+    assert core.find_root(lambda x: x - 1.0, (1.0, 2.0), 1e-10) == 1.0
+    assert core.find_root(lambda x: x - 2.0, (1.0, 2.0), 1e-10) == 2.0
+
+
+def test_find_root_rejects_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="sign change"):
+        core.find_root(lambda x: x * x + 1.0, (-1.0, 1.0), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: -1.0 if x < 0.3 else 1.0, lambda x: (x - 0.3) ** 11],
+    ids=["step", "power-11"],
+)
+def test_find_root_worst_case_evaluations(f):
+    # Bisection takes 2 + ceil(log2(1e10)) = 36 evaluations here; ITP may
+    # take one more (n0 = 1) plus one for round-off in the last width.
+    g, calls = _counting(f)
+    assert abs(core.find_root(g, (0.0, 1.0), 1e-10) - 0.3) <= 1e-10
+    assert len(calls) <= 38
+    assert all(0.0 <= x <= 1.0 for x in calls)
+
+
+def test_find_root_stagnation_below_float_spacing():
+    # Near 5.3 floats are 8.9e-16 apart: a bracket one spacing wide stops
+    # the search; it is accepted within 16 tol and refused beyond.
+    def step(x):
+        return -1.0 if x < 5.3 else 1.0
+
+    assert abs(core.find_root(step, (5.0, 6.0), 1e-16) - 5.3) <= 1e-15
+    with pytest.raises(mm.ConvergenceError, match="stagnated"):
+        core.find_root(step, (5.0, 6.0), 1e-20)
+
+
+def test_find_root_never_repeats_an_evaluation():
+    # tol sits below the float spacing near the root (1.4e-14 at 71.5): the
+    # ITP point then rounds onto a bracket end, and evaluating it again
+    # would gain nothing; the midpoint is taken instead.
+    root = 71.50734860858427
+    g, calls = _counting(lambda x: x - root)
+    found = core.find_root(g, (70.5202750194906, 72.27640334453717), 1.1268363044630312e-14)
+    assert abs(found - root) <= 2e-14
+    assert len(calls) == len(set(calls))

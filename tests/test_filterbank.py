@@ -185,7 +185,10 @@ def test_qmf_report_matches_five_evaluations(nu, q):
     H_shift = mm.transfer_H(params, sol, grid.omegas + math.pi)
     qmf = np.abs(np.abs(mm.transfer_H(params, sol, grid.omegas)) ** 2 + np.abs(H_shift) ** 2 - 1.0)
     assert np.max(np.abs(grid.qmf_residual - qmf)) <= 1e-13
-    assert np.max(mm.phase_pairing_residual(params, sol, grid.omegas)) <= 1e-10
+    phase = mm.phase_pairing_residual(params, sol, grid.omegas)
+    assert np.max(phase) <= 1e-10
+    assert np.max(np.abs(grid.phase_residual - phase)) <= 1e-13
+    assert not grid.phase_residual.flags.writeable
 
 
 def test_qmf_report_validates_sampling():

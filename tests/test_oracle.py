@@ -200,6 +200,23 @@ def test_shoot_matches_matrix_eigenvalue():
     assert abs(mm.shoot_odd(1, 1.0) - b_mat) <= 1e-8
 
 
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
+def test_shoot_even_integrations(monkeypatch, nu, q):
+    # y(pi/2; a) is smooth and nearly linear across the bracket, so the root
+    # finder needs a handful of integrations; bisection to 1e-10 took 36.
+    calls = []
+    integrate = oracle.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", counted)
+    a_shoot = mm.shoot_even(nu, q)
+    assert len(calls) <= 9
+    assert abs(a_shoot - mm.solve_even(mm.MathieuParams(nu, q)).a) <= 1e-8
+
+
 def test_shoot_rejects_bracket_without_sign_change():
     with pytest.raises(ValueError, match="sign change"):
         mm.shoot_even(1, 0.0, bracket=(20.0, 21.0))
