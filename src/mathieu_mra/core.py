@@ -11,9 +11,9 @@ characteristic value a_nu(q) (resp. b_nu(q)) and the coefficient vector
 come out of one symmetric eigensolve, ``numpy.linalg.eigh`` on the dense
 operator.  Its Householder reduction leaves tridiagonal input unchanged,
 and it ends in the same divide-and-conquer LAPACK solver (?stedc) as a
-tridiagonal solve.  The harmonic count doubles until the eigenvalue moves
-by less than ``EIGEN_TOL``, or than its round-off ``ROUNDOFF`` (|a| + 2|q|)
-where that is larger, and the coefficient tail has decayed.
+tridiagonal solve.  One solve per harmonic count: the count doubles until
+the eigenvector's last coefficient has decayed below ``TAIL_DECAY`` of its
+largest, which alone bounds the eigenvalue's truncation error.
 """
 
 import math
@@ -24,13 +24,6 @@ from numpy.polynomial import chebyshev
 
 MAX_HARMONICS = 2 ** 11  # the dense operator is at most 32 MB
 TAIL_DECAY = 1e-14
-# Eigenvalue change between harmonic doublings that ends the solve.  Past
-# |a| + 2|q| ~ 280 the round-off term is the larger: the eigenvalue jitters
-# by up to ~7 eps (|a| + 2|q|) from one doubling to the next (measured for
-# nu <= 15, q <= 1e4), the scale of the operator rows its eigenvector
-# lives in, and need never settle below 1e-12.
-EIGEN_TOL = 1e-12
-ROUNDOFF = 16 * np.finfo(float).eps
 IMAG_TOL = 1e-6  # imaginary part below which a Chebyshev root counts as real
 
 
@@ -71,10 +64,14 @@ class EigenSolution:
     q: float
     a: float
     coeffs: np.ndarray
-    truncation_order: int
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
+
+    @property
+    def truncation_order(self):
+        """Number of harmonics kept, ``len(coeffs)``."""
+        return len(self.coeffs)
 
     def harmonics(self):
         """Odd harmonic indices 1, 3, ..., 2N-1 matching ``coeffs``."""
@@ -88,11 +85,9 @@ def _initial_order(nu, q):
 def _solve(kind, params):
     nu, q = params.nu, float(params.q)
     index = (nu - 1) // 2
-    n = _initial_order(nu, q)
-    prev_a = None
+    n = 2 * _initial_order(nu, q)
     while True:
-        # The first pass only sets prev_a, so it needs room for one doubling.
-        if (n if prev_a is not None else 2 * n) > MAX_HARMONICS:
+        if n > MAX_HARMONICS:
             raise ConvergenceError(
                 f"eigensolve did not converge below {MAX_HARMONICS} harmonics "
                 f"(nu={nu}, q={q})"
@@ -104,17 +99,16 @@ def _solve(kind, params):
         w, v = np.linalg.eigh(op)
         a = float(w[index])
         vec = v[:, index].copy()
-        tail_ok = abs(vec[-1]) < TAIL_DECAY * np.max(np.abs(vec))
-        tol = max(EIGEN_TOL, ROUNDOFF * (abs(a) + 2.0 * abs(q)))
-        if prev_a is not None and abs(a - prev_a) < tol and tail_ok:
+        # Zero-padded, vec leaves a residual in the infinite operator only in
+        # row n, q vec[-1]: a small tail bounds the error in a as well.
+        if abs(vec[-1]) < TAIL_DECAY * np.max(np.abs(vec)):
             break
-        prev_a = a
         n *= 2
     # The value (even kind) or slope (odd kind) at 0, summed exactly as
     # value_at_zero and slope_at_zero sum it, so their sign is the one fixed here.
     if _series("even-ce", vec if kind == "even-ce" else m * vec, 0.0) < 0:
         vec = -vec
-    return EigenSolution(kind, nu, q, a, vec, n)
+    return EigenSolution(kind, nu, q, a, vec)
 
 
 def solve_even(params):
@@ -122,10 +116,10 @@ def solve_even(params):
 
     The tridiagonal operator has diagonal (1+q, 9, 25, ...) and constant
     off-diagonal q; a_nu(q) is its ((nu+1)/2)-th smallest eigenvalue.  The
-    harmonic count is grown (doubling) until the eigenvalue moves by less
-    than ``EIGEN_TOL`` (or its round-off, see the module docstring) and the
-    coefficient tail has decayed below 1e-14 relative to the largest
-    coefficient; ConvergenceError past ``MAX_HARMONICS``.
+    solve starts at 2 max(25, nu + ceil(2 sqrt|q|) + 10) harmonics and
+    doubles the count, one eigensolve per count, until the last coefficient
+    is below ``TAIL_DECAY`` (1e-14) of the largest; ConvergenceError past
+    ``MAX_HARMONICS``.
     """
     return _solve("even-ce", params)
 

@@ -220,14 +220,7 @@ def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     order vanishes at the quarter period.  The default bracket is the matrix
     eigenvalue +/- 0.5.
     """
-    if bracket is None:
-        center = solve_even(MathieuParams(nu, q)).a
-        bracket = (center - 0.5, center + 0.5)
-
-    def endpoint(a):
-        return integrate(a, q, 1.0, 0.0, math.pi / 2, step=step).y[-1]
-
-    return find_root(endpoint, bracket, tol)
+    return _shoot("even-ce", nu, q, bracket, tol, step)
 
 
 def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
@@ -238,12 +231,19 @@ def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     odd order has a flat point at the quarter period.  The default bracket
     is the matrix eigenvalue +/- 0.5.
     """
+    return _shoot("odd-se", nu, q, bracket, tol, step)
+
+
+def _shoot(kind, nu, q, bracket, tol, step):
+    even = kind == "even-ce"
     if bracket is None:
-        center = solve_odd(MathieuParams(nu, q)).a
+        center = (solve_even if even else solve_odd)(MathieuParams(nu, q)).a
         bracket = (center - 0.5, center + 0.5)
+    y0, yprime0 = (1.0, 0.0) if even else (0.0, 1.0)
 
     def endpoint(a):
-        return integrate(a, q, 0.0, 1.0, math.pi / 2, step=step).yprime[-1]
+        traj = integrate(a, q, y0, yprime0, math.pi / 2, step=step)
+        return traj.y[-1] if even else traj.yprime[-1]
 
     return find_root(endpoint, bracket, tol)
 

@@ -176,9 +176,7 @@ def test_orthogonality_of_distinct_orders():
 
 def test_scale_invariance_of_normalised_evaluation():
     s33 = mm.solve_even(mm.MathieuParams(3, 3.0))
-    scaled = mm.EigenSolution(
-        s33.kind, s33.nu, s33.q, s33.a, s33.coeffs * 137.0, s33.truncation_order
-    )
+    scaled = mm.EigenSolution(s33.kind, s33.nu, s33.q, s33.a, s33.coeffs * 137.0)
     x = np.linspace(-2.0, 5.0, 211)
     r1 = mm.evaluate(s33, x) / mm.value_at_zero(s33)
     r2 = mm.evaluate(scaled, x) / mm.value_at_zero(scaled)
@@ -247,9 +245,16 @@ def test_zero_count_refuses_what_oscillation_theorem_forbids(nu, q, certified):
                 count()
 
 
+# The reference loop's stop: the eigenvalue change between doublings below
+# the larger of an absolute 1e-12 and 16 eps (|a| + 2|q|), on top of the tail.
+REFERENCE_EIGEN_TOL = 1e-12
+REFERENCE_ROUNDOFF = 16 * np.finfo(float).eps
+
+
 def reference_solve(kind, params):
     """The doubling loop on scipy's tridiagonal eigensolver, kept as the
-    reference for the dense ``numpy.linalg.eigh`` one."""
+    reference for the dense ``numpy.linalg.eigh`` one: it solves at least
+    twice and stops on the eigenvalue change as well as on the tail."""
     nu, q = params.nu, float(params.q)
     index = (nu - 1) // 2
     n = mm.core._initial_order(nu, q)
@@ -263,7 +268,7 @@ def reference_solve(kind, params):
         a = float(w[index])
         vec = v[:, index].copy()
         tail_ok = abs(vec[-1]) < mm.core.TAIL_DECAY * np.max(np.abs(vec))
-        tol = max(mm.core.EIGEN_TOL, mm.core.ROUNDOFF * (abs(a) + 2.0 * abs(q)))
+        tol = max(REFERENCE_EIGEN_TOL, REFERENCE_ROUNDOFF * (abs(a) + 2.0 * abs(q)))
         if prev_a is not None and abs(a - prev_a) < tol and tail_ok:
             break
         prev_a = a
@@ -273,6 +278,15 @@ def reference_solve(kind, params):
     return a, vec, n
 
 
+def _assert_matches_reference(solver, params):
+    kind = "even-ce" if solver is mm.solve_even else "odd-se"
+    a, vec, n = reference_solve(kind, params)
+    sol = solver(params)
+    assert sol.truncation_order == n, params.q
+    assert abs(sol.a - a) <= 1e-14 * abs(a), params.q
+    assert np.max(np.abs(sol.coeffs - vec)) <= 1e-14, params.q
+
+
 REFERENCE_QS = sorted(set(np.linspace(-40.0, 60.0, 101)) | {0.0, 0.5, 100.0, 200.0, 300.0, 500.0, 800.0})
 
 
@@ -280,14 +294,8 @@ REFERENCE_QS = sorted(set(np.linspace(-40.0, 60.0, 101)) | {0.0, 0.5, 100.0, 200
 @pytest.mark.parametrize("nu", range(1, 14, 2))
 def test_dense_eigh_matches_tridiagonal_reference(solver, nu):
     # Measured: identical bits on every design of the grid.
-    kind = "even-ce" if solver is mm.solve_even else "odd-se"
     for q in REFERENCE_QS:
-        params = mm.MathieuParams(nu, q)
-        a, vec, n = reference_solve(kind, params)
-        sol = solver(params)
-        assert sol.truncation_order == n, q
-        assert abs(sol.a - a) <= 1e-14 * abs(a), q
-        assert np.max(np.abs(sol.coeffs - vec)) <= 1e-14, q
+        _assert_matches_reference(solver, mm.MathieuParams(nu, q))
 
 
 @pytest.mark.parametrize(
@@ -297,18 +305,34 @@ def test_dense_eigh_matches_tridiagonal_reference(solver, nu):
      (mm.solve_odd, 1, 1900.0), (mm.solve_odd, 7, 1410.0)],
 )
 def test_stop_test_reachable_at_large_q(solver, nu, q):
-    # Round-off keeps the eigenvalue change between doublings above the
-    # absolute EIGEN_TOL here; the even five once doubled to the cap.  The
-    # odd two also defeat a round-off term of 16 ulp(a): a jitters by more.
+    # Round-off keeps the eigenvalue change between doublings above 1e-12
+    # here (at the odd two, above 16 ulp(a) as well): a stop on that change
+    # once doubled the even five to the cap.  The tail test alone stops them.
     sol = solver(mm.MathieuParams(nu, q))
     reference = mathieu_a if solver is mm.solve_even else mathieu_b
     assert sol.truncation_order <= 512
     assert abs(sol.a - reference(nu, q)) <= 1e-14 * abs(sol.a)
+    _assert_matches_reference(solver, mm.MathieuParams(nu, q))
+
+
+@pytest.mark.parametrize("nu,q", [(3, 3.0), (5, 15.0), (9, 30.0), (3, 200.0), (1, 1950.0)])
+@pytest.mark.parametrize("solver", [mm.solve_even, mm.solve_odd])
+def test_one_eigensolve_per_solve(monkeypatch, solver, nu, q):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(op):
+        calls.append(len(op))
+        return eigh(op)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    sol = solver(mm.MathieuParams(nu, q))
+    assert calls == [sol.truncation_order]
 
 
 @pytest.mark.parametrize("q", [3e5, 1e7])
 def test_cap_raises_without_a_solve(monkeypatch, q):
-    # 3e5 starts at 1106 harmonics: a first pass there could not double.
+    # 3e5 starts at 2214 harmonics, past the cap before any solve.
     def no_solve(*args):
         raise AssertionError("eigensolve called")
 
