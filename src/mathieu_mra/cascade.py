@@ -2,9 +2,11 @@
 
 Starting from a unit impulse, each pass upsamples by two and convolves with
 sqrt(2) h, the discrete refinement map whose fixed point samples the
-scaling function phi on the dyadic grid.  The same passes started from
-sqrt(2) g sample the wavelet psi one level finer.  Tap indices may be
-negative; absolute grid offsets are carried alongside the sample arrays.
+scaling function phi on the dyadic grid.  The wavelet psi comes from the
+final phi iterate by the two-scale relation psi(t) = sqrt(2) sum_l g_l
+phi(2t - l), one level finer, in one shifted slice update per g tap.  Tap
+indices may be negative; absolute grid offsets are carried alongside the
+sample arrays.
 """
 
 import math
@@ -36,14 +38,6 @@ class CascadeOutput:
         self.psi.setflags(write=False)
 
 
-def _dense_kernel(coeffs):
-    """Tap map -> (start index, dense array of sqrt(2) times the taps)."""
-    idx, vals = tap_arrays(coeffs)
-    arr = np.zeros(idx[-1] - idx[0] + 1)
-    arr[idx - idx[0]] = SQRT2 * vals
-    return int(idx[0]), arr
-
-
 def _aligned_sup_diff(a, astart, b, bstart):
     """Sup-norm difference of two integer-indexed sequences, zero off-support."""
     lo = min(astart, bstart)
@@ -61,9 +55,12 @@ def _refine(bank, iterations, v, start):
     Each pass upsamples the previous iterate (first the seed ``v``, its
     first sample at index ``start``) and convolves it with sqrt(2) h.
     Seeded with the unit impulse at 0, pass d samples phi at k / 2**d from
-    k = start; seeded with sqrt(2) g, it samples psi at k / 2**(d+1).
+    k = start.
     """
-    hmin, hker = _dense_kernel(bank.h)
+    idx, vals = tap_arrays(bank.h)
+    hmin = int(idx[0])
+    hker = np.zeros(idx[-1] - hmin + 1)
+    hker[idx - hmin] = SQRT2 * vals
     for _ in range(iterations):
         up = np.zeros(2 * len(v) - 1)
         up[::2] = v
@@ -91,7 +88,9 @@ def run(bank, iterations, level):
     -------
     CascadeOutput; ``delta`` is the sup-norm change of the final pass
     measured against the previous iterate on the shared coarser grid.  psi
-    is the same passes seeded with sqrt(2) g: Psi^(w) = G(w/2) Phi^(w/2).
+    is the two-scale relation psi(t) = sqrt(2) sum_l g_l phi(2t - l) applied
+    to the final phi iterate v: tap l adds sqrt(2) g_l v at offset
+    l 2**iterations on the grid 2**-(iterations+1).
     """
     if not bank.sign_corrected:
         raise ValueError("cascade requires a sign-corrected bank (DC gain +1)")
@@ -111,11 +110,17 @@ def run(bank, iterations, level):
         delta = _aligned_sup_diff(v, start, nxt[off::2], (nxt_start + off) // 2)
         v, start, sup_prev = nxt, nxt_start, sup
 
-    gmin, gker = _dense_kernel(bank.g)
-    psi_raw, psi_start = deque(_refine(bank, iterations, gker, gmin), maxlen=1)[0]
+    dil = 2 ** iterations
+    gidx, gvals = tap_arrays(bank.g)
+    gmin = int(gidx[0])
+    psi_raw = np.zeros(len(v) + (int(gidx[-1]) - gmin) * dil)
+    for l, gl in zip(gidx, gvals):
+        off = (l - gmin) * dil
+        psi_raw[off : off + len(v)] += SQRT2 * gl * v
+    psi_start = start + gmin * dil
 
-    t_phi = (start + np.arange(len(v))) / 2.0 ** iterations
-    t_psi = (psi_start + np.arange(len(psi_raw))) / 2.0 ** (iterations + 1)
+    t_phi = (start + np.arange(len(v))) / dil
+    t_psi = (psi_start + np.arange(len(psi_raw))) / (2 * dil)
     step = 2.0 ** (-level)
     k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
     k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)

@@ -18,6 +18,7 @@ largest, which alone bounds the eigenvalue's truncation error.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -76,6 +77,17 @@ class EigenSolution:
     def harmonics(self):
         """Odd harmonic indices 1, 3, ..., 2N-1 matching ``coeffs``."""
         return 2 * np.arange(len(self.coeffs)) + 1
+
+    @cached_property
+    def _zero_count(self):
+        """count_function_zeros of ``coeffs``, refused unless it is nu
+        (oscillation theorem).  Cached: ``coeffs`` is read-only and the
+        dataclass frozen, so it cannot go stale; a refusal raises
+        ConvergenceError and is not cached, so every read raises again."""
+        n = count_function_zeros(self.coeffs)
+        if n != self.nu:
+            raise ConvergenceError(f"zero count {n} is not nu={self.nu} (q={self.q})")
+        return n
 
 
 def _initial_order(nu, q):
@@ -286,21 +298,16 @@ def count_function_zeros(coeffs):
     return 2 * len(cand) + 1
 
 
-def _order_zero_count(sol):
-    """count_function_zeros of sol, refused unless it is nu (oscillation theorem)."""
-    n = count_function_zeros(sol.coeffs)
-    if n != sol.nu:
-        raise ConvergenceError(f"zero count {n} is not nu={sol.nu} (q={sol.q})")
-    return n
-
-
 def count_zeros(sol):
     """Number of zeros of an even solution on one half period [0, pi).
 
     An order-nu even solution has exactly nu zeros there (oscillation
     theorem); the count is :func:`count_function_zeros` of its coefficients,
-    and any other count raises ConvergenceError.
+    and any other count raises ConvergenceError.  The count is made once
+    per solution, kept on it, and shared with
+    :func:`~mathieu_mra.filterbank.count_transfer_zeros`; a refused count
+    is not kept, so every call raises.
     """
     if sol.kind != "even-ce":
         raise ValueError("count_zeros requires an even-ce solution")
-    return _order_zero_count(sol)
+    return sol._zero_count

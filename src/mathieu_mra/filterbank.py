@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     ConvergenceError,
     MathieuParams,
-    _order_zero_count,
     evaluate,
     solve_even,
     solve_odd,
@@ -239,10 +238,11 @@ def count_transfer_zeros(params, sol, which="H"):
     the zeros are those of ce on [0, pi) for H and on [-pi/2, pi/2) for G.
     The odd harmonics make ce(x + pi) = -ce(x): its zeros repeat with
     period pi, and every half-open interval of length pi holds the same
-    number.  Both counts are therefore that of :func:`count_zeros`, and a
-    count other than nu raises ConvergenceError.
+    number.  Both counts are therefore that of :func:`count_zeros`, the one
+    count made per solution and shared by all three, and a count other than
+    nu raises ConvergenceError.
     """
     _check_pair(params, sol)
     if which not in ("H", "G"):
         raise ValueError("which must be 'H' or 'G'")
-    return _order_zero_count(sol)
+    return sol._zero_count

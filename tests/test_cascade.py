@@ -161,3 +161,52 @@ def test_psi_from_g_seed_matches_dense_kernel(nu, q, iterations):
     assert np.array_equal(out.t, t)
     assert np.array_equal(out.phi, phi)
     assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+
+
+def _g_seeded_psi(bank, iterations, level):
+    """Reference form of run(): phi from the impulse refinement, psi from the
+    same refinement passes seeded with sqrt(2) g (Psi^(w) = G(w/2) Phi^(w/2))."""
+    def dense(coeffs):
+        idx, vals = tap_arrays(coeffs)
+        arr = np.zeros(idx[-1] - idx[0] + 1)
+        arr[idx - idx[0]] = math.sqrt(2.0) * vals
+        return int(idx[0]), arr
+
+    hmin, hker = dense(bank.h)
+
+    def refine(v, start):
+        for _ in range(iterations):
+            up = np.zeros(2 * len(v) - 1)
+            up[::2] = v
+            v, start = np.convolve(up, hker), 2 * start + hmin
+        return v, start
+
+    v, start = refine(np.array([1.0]), 0)
+    gmin, gker = dense(bank.g)
+    psi_raw, psi_start = refine(gker, gmin)
+    t_phi = (start + np.arange(len(v))) / 2.0 ** iterations
+    t_psi = (psi_start + np.arange(len(psi_raw))) / 2.0 ** (iterations + 1)
+    step = 2.0 ** (-level)
+    k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
+    k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)
+    t = (k_lo + np.arange(k_hi - k_lo + 1)) * step
+    return (
+        t,
+        np.interp(t, t_phi, v, left=0.0, right=0.0),
+        np.interp(t, t_psi, psi_raw, left=0.0, right=0.0),
+    )
+
+
+@pytest.mark.parametrize("extra_levels", [0, 2])
+@pytest.mark.parametrize("iterations", [1, 4, 6, 10])
+@pytest.mark.parametrize(
+    "nu,q", [(1, 0.0), (3, 0.0), (3, 3.0), (5, 15.0), (7, 20.0), (9, 30.0)]
+)
+def test_psi_two_scale_matches_g_seeded_refinement(nu, q, iterations, extra_levels):
+    _, _, bank = _bank(nu, q, 1e-10 if q else 0.0)
+    level = iterations + extra_levels
+    out = mm.run(bank, iterations, level)
+    t, phi, psi = _g_seeded_psi(bank, iterations, level)
+    assert np.array_equal(out.t, t)
+    assert np.array_equal(out.phi, phi)
+    assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))

@@ -245,6 +245,41 @@ def test_zero_count_refuses_what_oscillation_theorem_forbids(nu, q, certified):
                 count()
 
 
+def test_one_zero_count_per_solution(monkeypatch):
+    # count_zeros and both count_transfer_zeros share one certified count per
+    # solution; a fresh solution counts again, and a refused count is never
+    # kept, so each of its calls counts (and raises) again.
+    runs = []
+    original = core.count_function_zeros
+
+    def counting(coeffs):
+        runs.append(len(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(core, "count_function_zeros", counting)
+    for nu, q in ((3, 3.0), (5, 15.0), (9, 30.0)):
+        params = mm.MathieuParams(nu, q)
+        for _ in range(2):
+            sol = mm.solve_even(params)
+            runs.clear()
+            assert mm.count_zeros(sol) == nu
+            assert mm.count_transfer_zeros(params, sol, "H") == nu
+            assert mm.count_transfer_zeros(params, sol, "G") == nu
+            assert mm.count_zeros(sol) == nu
+            assert runs == [len(sol.coeffs)]
+    params = mm.MathieuParams(1, -400.0)
+    sol = mm.solve_even(params)
+    runs.clear()
+    for count in (
+        lambda: mm.count_zeros(sol),
+        lambda: mm.count_transfer_zeros(params, sol, "H"),
+        lambda: mm.count_transfer_zeros(params, sol, "G"),
+    ):
+        with pytest.raises(mm.ConvergenceError, match="nu=1"):
+            count()
+    assert len(runs) == 3
+
+
 # The reference loop's stop: the eigenvalue change between doublings below
 # the larger of an absolute 1e-12 and 16 eps (|a| + 2|q|), on top of the tail.
 REFERENCE_EIGEN_TOL = 1e-12
