@@ -100,15 +100,15 @@ def run(bank, iterations, level):
         raise ValueError("level must be >= iterations")
     v, start = np.ones(1), 0  # the impulse the first pass refines
     sup_prev = 1.0
-    delta = math.inf
     for nxt, nxt_start in _refine(bank, iterations, v, start):
         sup = float(np.max(np.abs(nxt)))
         if sup > 10.0 * sup_prev:
             raise ConvergenceError("cascade diverging: is the bank normalised?")
-        # compare on the coarser grid: previous index p sits at new index 2p
-        off = (-nxt_start) % 2
-        delta = _aligned_sup_diff(v, start, nxt[off::2], (nxt_start + off) // 2)
-        v, start, sup_prev = nxt, nxt_start, sup
+        prev, prev_start, v, start, sup_prev = v, start, nxt, nxt_start, sup
+    # delta: the final iterate against the one before it, on the coarser grid
+    # (previous index p sits at new index 2p)
+    off = (-start) % 2
+    delta = _aligned_sup_diff(prev, prev_start, v[off::2], (start + off) // 2)
 
     dil = 2 ** iterations
     gidx, gvals = tap_arrays(bank.g)

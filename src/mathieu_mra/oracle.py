@@ -14,13 +14,19 @@ from the eigensolve.
 The scheme is Dormand-Prince with its step held fixed.  Because the ODE is
 linear in x = (y, y'), each step is exactly x_{i+1} = (I + E_i) x_i and its
 embedded error estimate is D_i x_i, with 2x2 matrices E_i and D_i built
-from the seven stage matrices and a table of cos 2(z + c_s h) that does not
-depend on a.  :func:`integrate` builds these matrices with numpy for blocks
-of ``_BLOCK`` steps, gets the block's states from a log-depth prefix-product
-scan started at the state carried over from the previous block, and checks
-every step's error estimate before it moves to the next block.
+from the seven stage matrices and a table of 2 q cos 2(z + c_s h) that does
+not depend on a.  :func:`integrate` builds these matrices with numpy for
+blocks of ``_BLOCK`` steps, so a quarter-period shot at the default step is
+one block.  It gets the block's states from a two-level prefix-product scan
+(Blelloch 1990) started at the state carried over from the previous block:
+sequential products within chunks of ``_CHUNK`` steps, all chunks at once,
+a log-depth Hillis-Steele scan over the chunk totals only, and one pass
+that applies to each chunk the product of the chunks before it.  Every
+step's error estimate is checked before the next block.  The cos table is
+cached per (q, step, block), so the integrations of one shot build it once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +60,13 @@ _A = np.array([
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
-# Steps per block of the transfer-matrix scan.  A block's matrices take
-# ~0.25 MB, and a refused step ends the run at the end of its block.
-_BLOCK = 1024
+# Steps per block of the transfer-matrix scan: a quarter-period run at
+# DEFAULT_STEP is one block.  A block's stage matrices take ~0.5 MB and its
+# cached cos table ~0.11 MB, and a refused step ends the run at the end of
+# its block.
+_BLOCK = 2048
+# Steps multiplied in sequence within each chunk of the two-level scan.
+_CHUNK = 8
 # StepSizeError's search for a passing step gives up beyond this many steps,
 # which bounds its trial runs' memory to ~16 MB.
 _HINT_MAX_STEPS = 1 << 20
@@ -152,8 +162,7 @@ def _step_matrices(a, q, h, i0, nb):
     D = h sum_s (B5_s - B4_s) K_s.  E is returned without the identity so
     that rounding 1 + O(h) does not bias every step alike.
     """
-    z = (i0 + np.arange(nb)) * h
-    w = a - 2.0 * q * np.cos(2.0 * (z + _C[:, None] * h))
+    w = a - _stage_table(q, h, i0, nb)
     K = np.empty((7, 2, 2, nb))
     flat = K.reshape(7, -1)
     for s in range(7):
@@ -165,20 +174,50 @@ def _step_matrices(a, q, h, i0, nb):
     return (h * _B5 @ flat).reshape(2, 2, nb), (h * (_B5 - _B4) @ flat).reshape(2, 2, nb)
 
 
+@functools.lru_cache(maxsize=4)
+def _stage_table(q, h, i0, nb):
+    """Read-only (7, nb) table of 2 q cos 2(z_i + c_s h), z_i = (i0 + i) h.
+
+    It does not depend on a, so every integration of one shot shares it.
+    The last two stages sit at the same point (c = 1), so that row is
+    computed once.
+    """
+    z = (i0 + np.arange(nb)) * h
+    table = 2.0 * q * np.cos(2.0 * (z + _C[:6, None] * h))
+    table = table[[0, 1, 2, 3, 4, 5, 5]]
+    table.setflags(write=False)
+    return table
+
+
+def _combine(later, earlier):
+    """A + B + AB, the increment of (I + A)(I + B), for stacks of 2x2 increments."""
+    return later + earlier + later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+
+
 def _prefix_products(E):
     """Q_i with I + Q_i = (I + E_i) ... (I + E_1)(I + E_0), for a (2, 2, m) stack.
 
-    Hillis-Steele scan: ceil(log2 m) passes, each combining the whole stack
-    with itself shifted by d = 1, 2, 4, ... through
-    (I + A)(I + B) = I + A + B + AB.
+    Two-level scan: the stack, padded with zero increments (identity steps)
+    to whole chunks of ``_CHUNK`` steps, is multiplied in sequence within
+    each chunk, all chunks at once.  A Hillis-Steele scan (one pass per
+    doubling of the chunk count, each combining the totals with themselves
+    shifted by d = 1, 2, 4, ...) turns the chunk totals into running
+    products, and one pass applies to every chunk the running product of
+    the chunks before it.
     """
-    Q = E.copy()
+    m = E.shape[-1]
+    nc = -(-m // _CHUNK)
+    Q = np.zeros((2, 2, nc, _CHUNK))
+    Q.reshape(2, 2, -1)[..., :m] = E
+    for j in range(1, _CHUNK):
+        Q[..., j] = _combine(Q[..., j], Q[..., j - 1])
+    T = Q[..., -1].copy()
     d = 1
-    while d < Q.shape[-1]:
-        later, earlier = Q[..., d:], Q[..., :-d]
-        Q[..., d:] = later + earlier + later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+    while d < nc:
+        T[..., d:] = _combine(T[..., d:], T[..., :-d])
         d *= 2
-    return Q
+    Q[:, :, 1:] = _combine(Q[:, :, 1:], T[:, :, :-1, None])
+    return Q.reshape(2, 2, -1)[..., :m]
 
 
 def _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error):

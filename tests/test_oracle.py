@@ -97,6 +97,10 @@ def reference_integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_loca
         (5, 15.0, 1.0, 0.0, math.pi),
         (9, 30.0, 1.0, 0.0, math.pi),
         (3, 3.0, 1.0, 0.0, mm.DEFAULT_STEP),  # a single step
+        (5, 15.0, 0.0, 1.0, (oracle._CHUNK - 1) * mm.DEFAULT_STEP),  # one padded chunk
+        (9, 30.0, 1.0, 0.0, (oracle._CHUNK + 1) * mm.DEFAULT_STEP),  # a chunk and one step
+        (9, 30.0, 0.0, 1.0, (oracle._BLOCK - 1) * mm.DEFAULT_STEP),  # one block short a step
+        (5, 15.0, 1.0, 0.0, (oracle._BLOCK + 1) * mm.DEFAULT_STEP),  # a block and one step
         (5, 15.0, 0.0, 1.0, (2 * oracle._BLOCK + 3) * mm.DEFAULT_STEP),  # two blocks and a remainder
     ],
 )
@@ -108,6 +112,38 @@ def test_scan_matches_scalar_reference(nu, q, y0, yprime0, z_end):
     assert np.array_equal(traj.grid, np.linspace(0.0, z_end, len(ys)))
     assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
     assert np.max(np.abs(traj.yprime - yps)) <= 1e-12 * np.max(np.abs(yps))
+
+
+@pytest.mark.parametrize("block", [64, 100])
+@pytest.mark.parametrize("nu, q", [(5, 15.0), (9, 30.0)])
+def test_scan_matches_scalar_reference_in_small_blocks(monkeypatch, block, nu, q):
+    # Dozens of blocks, each carrying the state of the one before; 100 steps
+    # are not a whole number of chunks, so every such block is padded.
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    test_scan_matches_scalar_reference(nu, q, 1.0, 0.0, math.pi)
+
+
+@pytest.mark.parametrize("i0", [0, oracle._BLOCK])
+def test_stage_table_is_read_only_and_bit_identical(monkeypatch, i0):
+    q, h, nb = 15.0, mm.DEFAULT_STEP, oracle._BLOCK
+    z = (i0 + np.arange(nb)) * h
+    oracle._stage_table.cache_clear()
+    table = oracle._stage_table(q, h, i0, nb)
+    assert not table.flags.writeable
+    assert np.array_equal(table, 2.0 * q * np.cos(2.0 * (z + oracle._C[:, None] * h)))
+    cached = oracle._step_matrices(A_REF_5_15, q, h, i0, nb)
+    monkeypatch.setattr(oracle, "_stage_table", oracle._stage_table.__wrapped__)
+    uncached = oracle._step_matrices(A_REF_5_15, q, h, i0, nb)
+    assert all(np.array_equal(c, u) for c, u in zip(cached, uncached))
+
+
+@pytest.mark.parametrize("shoot", [mm.shoot_even, mm.shoot_odd])
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
+def test_one_stage_table_per_shot(shoot, nu, q):
+    # The table does not depend on a, so all the shot's integrations share it.
+    oracle._stage_table.cache_clear()
+    shoot(nu, q)
+    assert oracle._stage_table.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
