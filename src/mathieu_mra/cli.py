@@ -29,6 +29,41 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
+def _cells(column):
+    """Text of one CSV column: a float array to 17 digits, anything else by str."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map("{:.17g}".format, column.tolist())
+    return map(str, column)
+
+
+def _write_csv(path, header, *columns):
+    """The header line, then one row per entry of the equal-length columns."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    _write(path, "\n".join([header, *rows]) + "\n")
+
+
+def _read_lines(path, header, error):
+    """Nonblank, stripped lines after the header; ValueError(error) unless it is ``header``."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != header:
+        raise ValueError(error)
+    return lines[1:]
+
+
+def _numbers(texts):
+    """float() of each text, refusing non-finite values."""
+    values = np.array([float(t) for t in texts])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite value {texts[bad[0]]!r} in CSV input")
+    return values
+
+
+def _band_names(levels):
+    return [f"a{levels}", *(f"d{lev}" for lev in range(1, levels + 1))]
+
+
 def _prepare(args):
     params = MathieuParams(args.nu, args.q)
     sol = solve_even(params)
@@ -43,53 +78,39 @@ def _bank(args):
 
 def _cmd_eigen(args):
     params, sol = _prepare(args)
-    coeffs = [_fmt(c) for c in sol.coeffs]
+    head = {"nu": params.nu, "q": _fmt(params.q), "a": _fmt(sol.a),
+            "ce_at_zero": _fmt(value_at_zero(sol))}
+    coeffs = list(_cells(sol.coeffs))
     if args.fmt == "json":
         lines = [
             "{",
-            f'  "nu": {params.nu},',
-            f'  "q": {_fmt(params.q)},',
-            f'  "a": {_fmt(sol.a)},',
-            f'  "ce_at_zero": {_fmt(value_at_zero(sol))},',
+            *(f'  "{name}": {value},' for name, value in head.items()),
             f'  "coeffs": [{", ".join(coeffs)}],',
             f'  "truncation_order": {sol.truncation_order}',
             "}",
         ]
         _write(args.output, "\n".join(lines) + "\n")
     else:
-        rows = ["field,value"]
-        rows.append(f"nu,{params.nu}")
-        rows.append(f"q,{_fmt(params.q)}")
-        rows.append(f"a,{_fmt(sol.a)}")
-        rows.append(f"ce_at_zero,{_fmt(value_at_zero(sol))}")
-        rows.append(f"truncation_order,{sol.truncation_order}")
-        for k, c in enumerate(sol.coeffs):
-            rows.append(f"A{2 * k + 1},{_fmt(c)}")
-        _write(args.output, "\n".join(rows) + "\n")
+        fields = [*head, "truncation_order", *(f"A{m}" for m in sol.harmonics().tolist())]
+        values = [*head.values(), sol.truncation_order, *coeffs]
+        _write_csv(args.output, "field,value", fields, values)
     return 0
 
 
 def _cmd_filters(args):
     params, sol = _prepare(args)
     bank = fb.build(params, sol, args.threshold)
-    lo = min(bank.support("h") + bank.support("g"))
-    hi = max(bank.support("h") + bank.support("g"))
-    rows = ["index,h,g"]
-    for l in range(lo, hi + 1):
-        rows.append(f"{l},{_fmt(bank.h.get(l, 0.0))},{_fmt(bank.g.get(l, 0.0))}")
-    _write(args.output, "\n".join(rows) + "\n")
+    index = range(min(*bank.h, *bank.g), max(*bank.h, *bank.g) + 1)
+    h, g = (np.array([taps.get(l, 0.0) for l in index]) for taps in (bank.h, bank.g))
+    _write_csv(args.output, "index,h,g", index, h, g)
     return 0
 
 
 def _cmd_spectrum(args):
     params, sol = _prepare(args)
     grid = fb.qmf_report(params, sol, args.samples)
-    rows = ["omega,H_re,H_im,G_re,G_im,qmf_residual"]
-    for w, H, G, r in zip(grid.omegas, grid.H, grid.G, grid.qmf_residual):
-        rows.append(
-            f"{_fmt(w)},{_fmt(H.real)},{_fmt(H.imag)},{_fmt(G.real)},{_fmt(G.imag)},{_fmt(r)}"
-        )
-    _write(args.output, "\n".join(rows) + "\n")
+    _write_csv(args.output, "omega,H_re,H_im,G_re,G_im,qmf_residual", grid.omegas,
+               grid.H.real, grid.H.imag, grid.G.real, grid.G.imag, grid.qmf_residual)
     return 0
 
 
@@ -97,76 +118,47 @@ def _cmd_cascade(args):
     bank = _bank(args)
     level = args.level if args.level else args.iterations
     out = cascade_mod.run(bank, args.iterations, level)
-    rows = ["t,phi,psi"]
-    for t, p, s in zip(out.t, out.phi, out.psi):
-        rows.append(f"{_fmt(t)},{_fmt(p)},{_fmt(s)}")
-    _write(args.output, "\n".join(rows) + "\n")
+    _write_csv(args.output, "t,phi,psi", out.t, out.phi, out.psi)
     return 0
-
-
-def _number(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r} in CSV input")
-    return value
-
-
-def _read_signal(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "x":
-        raise ValueError("signal CSV must have a single column with header 'x'")
-    return np.array([_number(v) for v in lines[1:]])
 
 
 def _read_bands(path):
     """Decomposition CSV written by dwt -> DwtResult; each band indexed 0..n-1."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "band,index,value":
-        raise ValueError("decomposition CSV must have header 'band,index,value'")
     bands = {}
-    for ln in lines[1:]:
+    for ln in _read_lines(path, "band,index,value",
+                          "decomposition CSV must have header 'band,index,value'"):
         band, idx, val = ln.split(",")
-        bands.setdefault(band, []).append((int(idx), _number(val)))
+        bands.setdefault(band, []).append((int(idx), val))
     for band, rows in bands.items():
         rows.sort()
         if [i for i, _ in rows] != list(range(len(rows))):
             raise ValueError(f"band {band} indices must be exactly 0..{len(rows) - 1}")
-    approx_keys = [b for b in bands if b.startswith("a")]
-    if len(approx_keys) != 1:
-        raise ValueError("decomposition must contain exactly one approximation band")
-    levels = int(approx_keys[0][1:])
+    levels = len(bands) - 1
     if levels < 1:
         raise ValueError(f"decomposition level must be >= 1, got {levels}")
-    names = [f"d{lev}" for lev in range(1, levels + 1)]
-    if set(bands) != {approx_keys[0], *names}:
-        raise ValueError(f"decomposition bands must be exactly {approx_keys[0]} and d1..d{levels}")
-    approx = np.array([v for _, v in bands[approx_keys[0]]])
-    details = [np.array([v for _, v in bands[key]]) for key in names]
+    names = _band_names(levels)
+    if set(bands) != set(names):
+        raise ValueError(f"decomposition bands must be exactly a{levels} and d1..d{levels}")
+    approx, *details = (_numbers([v for _, v in bands[name]]) for name in names)
     return tf.DwtResult(levels, approx, details, approx.size * 2 ** levels)
 
 
 def _cmd_dwt(args):
     bank = _bank(args)
-    signal = _read_signal(args.input)
+    signal = _numbers(_read_lines(args.input, "x",
+                                  "signal CSV must have a single column with header 'x'"))
     res = tf.forward(signal, bank, args.levels)
-    rows = ["band,index,value"]
-    for i, v in enumerate(res.approx):
-        rows.append(f"a{res.levels},{i},{_fmt(v)}")
-    for lev, det in enumerate(res.details, start=1):
-        for i, v in enumerate(det):
-            rows.append(f"d{lev},{i},{_fmt(v)}")
-    _write(args.output, "\n".join(rows) + "\n")
+    bands = [res.approx, *res.details]
+    _write_csv(args.output, "band,index,value",
+               [name for name, b in zip(_band_names(res.levels), bands) for _ in range(b.size)],
+               [i for b in bands for i in range(b.size)], np.concatenate(bands))
     return 0
 
 
 def _cmd_idwt(args):
     bank = _bank(args)
-    res = _read_bands(args.input)
-    signal = tf.inverse(res, bank)
-    rows = ["x"] + [_fmt(v) for v in signal]
-    _write(args.output, "\n".join(rows) + "\n")
+    signal = tf.inverse(_read_bands(args.input), bank)
+    _write_csv(args.output, "x", signal)
     return 0
 
 
@@ -249,7 +241,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

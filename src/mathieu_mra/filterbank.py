@@ -4,7 +4,7 @@ The taps are read off the cosine-series coefficients of the even
 eigensolution,
 
     h_l = -sqrt(2) A_{|2l - nu|} / (2 ce0),
-    g_l =  sqrt(2) (-1)^l A_{|2l + nu - 2|} / (2 ce0),
+    g_l = (-1)^(l+1) h_{1-l} = sqrt(2) (-1)^l A_{|2l + nu - 2|} / (2 ce0),
 
 with ce0 the series value at 0, so every filter magnitude is invariant to
 the eigenvector normalisation.  Closed-form transfer functions and the
@@ -100,25 +100,15 @@ def build(params, sol, threshold):
             f"ce(0) = {ce0:.3g} is within round-off of 0, so the taps have no "
             f"accurate scale (nu={nu}, q={params.q})"
         )
-    mmax = 2 * sol.truncation_order - 1
-
-    def keep(v):
-        return v != 0.0 if threshold == 0.0 else abs(v) >= threshold
-
-    h = {}
-    for l in range((nu - mmax) // 2, (nu + mmax) // 2 + 1):
-        m = abs(2 * l - nu)
-        val = -SQRT2 * A[(m - 1) // 2] / (2.0 * ce0)
-        if keep(val):
-            h[l] = val
-    g = {}
-    for l in range((2 - nu - mmax) // 2, (2 - nu + mmax) // 2 + 1):
-        m = abs(2 * l + nu - 2)
-        parity = 1.0 if l % 2 == 0 else -1.0
-        val = SQRT2 * parity * A[(m - 1) // 2] / (2.0 * ce0)
-        if keep(val):
-            g[l] = val
-    if len(h) < 2 or len(g) < 2:
+    # every l with |2l - nu| <= 2N - 1, the highest harmonic kept
+    ls = np.arange((nu + 1) // 2 - len(A), (nu + 1) // 2 + len(A))
+    taps = -SQRT2 * A[(np.abs(2 * ls - nu) - 1) // 2] / (2.0 * ce0)
+    kept = taps != 0.0 if threshold == 0.0 else np.abs(taps) >= threshold
+    ls, taps = ls[kept], taps[kept]
+    h = dict(zip(ls.tolist(), taps.tolist()))
+    # the quadrature mirror g_{1-l} = (-1)^l h_l, inserted in ascending index
+    g = dict(zip((1 - ls[::-1]).tolist(), np.where(ls % 2, -taps, taps)[::-1].tolist()))
+    if len(h) < 2:
         raise ValueError("threshold too large: fewer than 2 taps survive")
     return FilterBank(nu, float(params.q), h, g, float(threshold), False)
 

@@ -11,7 +11,7 @@ power-complementarity defect of the transfer functions and is reported
 rather than assumed small.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class DwtResult:
     approx: np.ndarray
     details: list
     length: int
-    boundary: str = field(default="periodic")
 
 
 def _taps(bank):

@@ -300,3 +300,90 @@ def test_all_subcommands_run_without_scipy(tmp_path):
         assert run_cli(*args, "--output", str(tmp_path / "ref" / name)) == 0
     for name in runs:
         assert read(tmp_path / "bare" / name) == read(tmp_path / "ref" / name), name
+
+
+@pytest.mark.parametrize("level", ["50", "60"])
+def test_oversized_grid_exit_2(tmp_path, capsys, level):
+    # At level 50 the output grid needs 122 PiB, beyond any 64-bit address
+    # space, so the request fails at once (MemoryError); at 60 numpy refuses
+    # the shape itself (ValueError).
+    out = tmp_path / "cascade.csv"
+    assert run_cli("cascade", "--nu", "3", "--q", "3", "--iterations", "4", "--level", level,
+                   "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _columns(path):
+    """Header line and the text columns of a CSV written by the CLI."""
+    header, *rows = path.read_text().splitlines()
+    return header, list(zip(*(r.split(",") for r in rows)))
+
+
+def _parsed(column):
+    return _bits([float(v) for v in column])
+
+
+def _crlf_with_blanks(path):
+    path.write_bytes("\r\n\r\n".join(path.read_text().splitlines()).encode() + b"\r\n")
+
+
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0)])
+def test_cli_values_are_the_library_arrays(tmp_path, nu, q):
+    # Every number a CSV output prints parses back to the library's own value
+    # bit for bit, so the 17-digit writer loses nothing.
+    design = ["--nu", str(nu), "--q", repr(q)]
+    params = mathieu_mra.MathieuParams(nu, q)
+    sol = mathieu_mra.solve_even(params)
+    raw = mathieu_mra.build(params, sol, 1e-10)
+    bank = mathieu_mra.sign_correct(raw)
+
+    def cli(name, *args):
+        path = tmp_path / name
+        assert run_cli(*args, *design, "--output", str(path)) == 0
+        return path
+
+    header, (fields, values) = _columns(cli("eigen.csv", "eigen", "--format", "csv"))
+    harmonics = [f"A{2 * k + 1}" for k in range(sol.truncation_order)]
+    assert header == "field,value"
+    assert list(fields) == ["nu", "q", "a", "ce_at_zero", "truncation_order", *harmonics]
+    scalars = [nu, q, sol.a, mathieu_mra.value_at_zero(sol), sol.truncation_order]
+    assert np.array_equal(_parsed(values), _bits([*scalars, *sol.coeffs]))
+
+    header, (index, *cols) = _columns(cli("filters.csv", "filters"))
+    span = range(min(*raw.h, *raw.g), max(*raw.h, *raw.g) + 1)
+    assert header == "index,h,g" and list(map(int, index)) == list(span)
+    for col, taps in zip(cols, (raw.h, raw.g)):
+        assert np.array_equal(_parsed(col), _bits([taps.get(l, 0.0) for l in span]))
+
+    grid = mathieu_mra.qmf_report(params, sol, 64)
+    _, cols = _columns(cli("spectrum.csv", "spectrum", "--samples", "64"))
+    want = [grid.omegas, grid.H.real, grid.H.imag, grid.G.real, grid.G.imag, grid.qmf_residual]
+    assert len(cols) == 6 and all(np.array_equal(_parsed(c), _bits(w)) for c, w in zip(cols, want))
+
+    out = mathieu_mra.cascade.run(bank, 5, 7)
+    _, cols = _columns(cli("cascade.csv", "cascade", "--iterations", "5", "--level", "7"))
+    want = [out.t, out.phi, out.psi]
+    assert len(cols) == 3 and all(np.array_equal(_parsed(c), _bits(w)) for c, w in zip(cols, want))
+
+    # CRLF line endings and blank lines in either input read as plain lines.
+    sig = tmp_path / "sig.csv"
+    res = mathieu_mra.forward(_write_signal(sig, n=64), bank, 3)
+    _crlf_with_blanks(sig)
+    dec = cli("dec.csv", "dwt", "--levels", "3", "--input", str(sig))
+    _, (names, index, values) = _columns(dec)
+    bands = [res.approx, *res.details]
+    assert list(names) == [n for n, b in zip(["a3", "d1", "d2", "d3"], bands) for _ in b]
+    assert list(map(int, index)) == [i for b in bands for i in range(b.size)]
+    assert np.array_equal(_parsed(values), _bits(np.concatenate(bands)))
+
+    rec = cli("rec.csv", "idwt", "--input", str(dec))
+    header, (x,) = _columns(rec)
+    assert header == "x" and np.array_equal(_parsed(x), _bits(mathieu_mra.inverse(res, bank)))
+    _crlf_with_blanks(dec)
+    assert read(cli("rec_crlf.csv", "idwt", "--input", str(dec))) == read(rec)

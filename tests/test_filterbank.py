@@ -256,3 +256,58 @@ def test_no_compact_support():
     assert min(abs(v) for v in full.h.values()) < 1e-15
     mags = [abs(full.h[l]) for l in sorted(l for l in full.h if 2 * l - 3 > 0)]
     assert all(m1 >= m2 for m1, m2 in zip(mags[1:], mags[2:]))  # outward decay
+
+
+def _loop_build(params, sol, threshold):
+    """The two tap loops ``build`` ran before its vector form, kept as its reference."""
+    nu, A = params.nu, sol.coeffs
+    ce0 = mm.value_at_zero(sol)
+    if ce0 <= mm.filterbank.CE0_FLOOR * np.sum(np.abs(A)):
+        raise mm.ConvergenceError(
+            f"ce(0) = {ce0:.3g} is within round-off of 0, so the taps have no "
+            f"accurate scale (nu={nu}, q={params.q})"
+        )
+    mmax = 2 * sol.truncation_order - 1
+
+    def keep(v):
+        return v != 0.0 if threshold == 0.0 else abs(v) >= threshold
+
+    h = {}
+    for l in range((nu - mmax) // 2, (nu + mmax) // 2 + 1):
+        m = abs(2 * l - nu)
+        val = -math.sqrt(2.0) * A[(m - 1) // 2] / (2.0 * ce0)
+        if keep(val):
+            h[l] = val
+    g = {}
+    for l in range((2 - nu - mmax) // 2, (2 - nu + mmax) // 2 + 1):
+        m = abs(2 * l + nu - 2)
+        parity = 1.0 if l % 2 == 0 else -1.0
+        val = math.sqrt(2.0) * parity * A[(m - 1) // 2] / (2.0 * ce0)
+        if keep(val):
+            g[l] = val
+    if len(h) < 2 or len(g) < 2:
+        raise ValueError("threshold too large: fewer than 2 taps survive")
+    return h, g
+
+
+def _taps_or_refusal(make):
+    # (index, bits) in insertion order, so -0.0, order and every bit count
+    try:
+        h, g = make()
+    except (ValueError, mm.ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return [[(l, float(v).hex()) for l, v in taps.items()] for taps in (h, g)]
+
+
+@pytest.mark.parametrize("nu", range(1, 20, 2))
+def test_build_matches_tap_loops_bit_for_bit(nu):
+    qs = (0.0, 0.5, 1.0, 3.0, -3.0, 5.0, 15.0, 20.0, -20.0, 30.0, 50.0, 100.0, -150.0, 200.0)
+    thresholds = (0.0, 1e-16, 1e-12, 1e-10, 1e-6, 1e-3, 0.05, 0.3)
+    for q in qs:
+        params, sol = _pair(nu, q)
+        for thr in thresholds:
+            def vector():
+                bank = mm.build(params, sol, thr)
+                return bank.h, bank.g
+            got = _taps_or_refusal(vector)
+            assert got == _taps_or_refusal(lambda: _loop_build(params, sol, thr)), (q, thr)
