@@ -6,7 +6,9 @@ scaling function phi on the dyadic grid.  The wavelet psi comes from the
 final phi iterate by the two-scale relation psi(t) = sqrt(2) sum_l g_l
 phi(2t - l), one level finer, in one shifted slice update per g tap.  Tap
 indices may be negative; absolute grid offsets are carried alongside the
-sample arrays.
+sample arrays.  The output grid always nests with both: the phi and psi
+nodes are written onto it in place, and only on a grid finer than theirs
+are the samples between them filled in linearly.
 """
 
 import math
@@ -69,6 +71,22 @@ def _refine(bank, iterations, v, start):
         yield v, start
 
 
+def _fill(out, p0, n, per):
+    """Fill between the n nodes out[p0 :: per] in place, linearly:
+    y[j] + (y[j+1] - y[j]) * (r/per) at p0 + j per + r, 0 < r < per.
+
+    On these dyadic grids that is bit for bit np.interp's slope * (x - x_j)
+    + y_j: the node spacing and x - x_j scale by powers of two.
+    """
+    if per == 1:
+        return
+    block = out[p0 : p0 + (n - 1) * per].reshape(-1, per)
+    between = block[:, 1:]
+    np.multiply(np.diff(out[p0 : p0 + (n - 1) * per + 1 : per])[:, None],
+                np.arange(1, per) / per, out=between)
+    between += block[:, :1]
+
+
 def run(bank, iterations, level):
     """Iterate the refinement map and sample phi/psi at resolution 2**-level.
 
@@ -81,8 +99,11 @@ def run(bank, iterations, level):
         Number of refinement passes (>= 1).
     level : int
         Output grid level; must be >= iterations.  The natural grids (phi at
-        2**-iterations, psi one level finer) are resampled onto the output
-        grid by linear interpolation, which is exact whenever the grids nest.
+        2**-iterations, psi one level finer) nest in the output grid, so
+        their nodes are placed on it as they are.  Where level > iterations,
+        the samples between nodes are linear in the two nodes around them
+        (bit for bit ``np.interp``); at level == iterations only every other
+        psi node lies on the grid, and only those are summed.
 
     Returns
     -------
@@ -110,23 +131,30 @@ def run(bank, iterations, level):
     off = (-start) % 2
     delta = _aligned_sup_diff(prev, prev_start, v[off::2], (start + off) // 2)
 
+    # The grids nest: phi node start + n lies at output sample (start + n) per,
+    # psi node m = start + l dil + n at m per/2, which at per = 1 exists only
+    # for even m, the n = j0, j0 + 2, ...
     dil = 2 ** iterations
+    per = 2 ** (level - iterations)
     gidx, gvals = tap_arrays(bank.g)
-    gmin = int(gidx[0])
-    psi_raw = np.zeros(len(v) + (int(gidx[-1]) - gmin) * dil)
-    for l, gl in zip(gidx, gvals):
-        off = (l - gmin) * dil
-        psi_raw[off : off + len(v)] += SQRT2 * gl * v
-    psi_start = start + gmin * dil
+    psi_start = start + int(gidx[0]) * dil
+    psi_end = start + int(gidx[-1]) * dil + len(v) - 1
+    k_lo = min(start * per, psi_start * per // 2)
+    k_hi = max((start + len(v) - 1) * per, -(-psi_end * per // 2))
+    t = (k_lo + np.arange(k_hi - k_lo + 1)) * 2.0 ** (-level)
+    phi = np.zeros(len(t))
+    psi = np.zeros(len(t))
 
-    t_phi = (start + np.arange(len(v))) / dil
-    t_psi = (psi_start + np.arange(len(psi_raw))) / (2 * dil)
-    step = 2.0 ** (-level)
-    k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
-    k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)
-    t = (k_lo + np.arange(k_hi - k_lo + 1)) * step
-    phi = np.interp(t, t_phi, v, left=0.0, right=0.0)
-    psi = np.interp(t, t_psi, psi_raw, left=0.0, right=0.0)
+    p0 = start * per - k_lo
+    phi[p0 : p0 + (len(v) - 1) * per + 1 : per] = v
+    _fill(phi, p0, len(v), per)
+    half = max(per // 2, 1)
+    j0, skip = (start % 2, 2) if per == 1 else (0, 1)
+    vj = v[j0::skip]
+    for l, gl in zip(gidx, gvals):
+        off = (start + int(l) * dil + j0) * per // 2 - k_lo
+        psi[off : off + (len(vj) - 1) * half + 1 : half] += SQRT2 * gl * vj
+    _fill(psi, psi_start * half - k_lo, psi_end - psi_start + 1, half)
     return CascadeOutput(level, t, phi, psi, iterations, float(delta))
 
 

@@ -223,9 +223,14 @@ def find_root(f, bracket, tol):
     leaves the last width a hair above tol.  delta is floored at tol/2:
     below round-off (w ~ 1e-7) the iterates would land on ends already
     evaluated, while tol/2 steps past the root far enough to close the
-    bracket.
+    bracket.  A tol that is not finite and > 0, or lo > hi, raises
+    ValueError before f is evaluated.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not lo <= hi:
+        raise ValueError(f"bracket ({lo:.6g}, {hi:.6g}) must have lo <= hi")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

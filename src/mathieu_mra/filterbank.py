@@ -194,13 +194,18 @@ def qmf_report(params, sol, n_samples):
     closed forms satisfy that identity identically, and it is verified here
     to 1e-10; where round-off in ce breaks it (from q ~ 55 at nu = 1) the
     report raises :class:`ConvergenceError`.  H and G are 2*pi-periodic for
-    odd nu, so their samples at w + pi are a roll.
+    odd nu, so their samples at w + pi are a roll.  ce is evaluated once, at
+    w/2 and (w - pi)/2 together; H and G are bit for bit
+    :func:`transfer_H` and :func:`transfer_G` at the sampled w.
     """
     if n_samples < 2 or n_samples % 2:
         raise ValueError("n_samples must be even and >= 2")
+    _check_pair(params, sol)
     om = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    H = transfer_H(params, sol, om)
-    G = transfer_G(params, sol, om)
+    ce = evaluate(sol, np.concatenate([om / 2.0, (om - math.pi) / 2.0]))
+    ce0 = value_at_zero(sol)
+    H = -np.exp(-0.5j * params.nu * om) * ce[:n_samples] / ce0
+    G = np.exp(0.5j * (params.nu - 2) * (om - math.pi)) * ce[n_samples:] / ce0
     qmf = np.abs(np.abs(H) ** 2 + np.abs(np.roll(H, -n_samples // 2)) ** 2 - 1.0)
     phase = np.abs(H + np.exp(-1j * om) * np.conj(np.roll(G, -n_samples // 2)))
     if np.max(phase) > 1e-10:

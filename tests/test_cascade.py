@@ -5,7 +5,7 @@ import pytest
 
 import mathieu_mra as mm
 from mathieu_mra import FilterBank
-from mathieu_mra.cascade import dtft_transfer
+from mathieu_mra.cascade import _aligned_sup_diff, _refine, dtft_transfer
 from mathieu_mra.filterbank import tap_arrays
 
 # Fixed-point diagnostics recorded on first run (slow sup-norm convergence
@@ -210,3 +210,74 @@ def test_psi_two_scale_matches_g_seeded_refinement(nu, q, iterations, extra_leve
     assert np.array_equal(out.t, t)
     assert np.array_equal(out.phi, phi)
     assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+
+
+def _interp_run(bank, iterations, level):
+    """Reference form of run(): the final phi iterate and psi's node array
+    psi_raw put onto the output grid by np.interp over their node times."""
+    if not bank.sign_corrected:
+        raise ValueError("cascade requires a sign-corrected bank (DC gain +1)")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if level < iterations:
+        raise ValueError("level must be >= iterations")
+    v, start = np.ones(1), 0
+    sup_prev = 1.0
+    for nxt, nxt_start in _refine(bank, iterations, v, start):
+        sup = float(np.max(np.abs(nxt)))
+        if sup > 10.0 * sup_prev:
+            raise mm.ConvergenceError("cascade diverging: is the bank normalised?")
+        prev, prev_start, v, start, sup_prev = v, start, nxt, nxt_start, sup
+    off = (-start) % 2
+    delta = _aligned_sup_diff(prev, prev_start, v[off::2], (start + off) // 2)
+
+    dil = 2 ** iterations
+    gidx, gvals = tap_arrays(bank.g)
+    gmin = int(gidx[0])
+    psi_raw = np.zeros(len(v) + (int(gidx[-1]) - gmin) * dil)
+    for l, gl in zip(gidx, gvals):
+        off = (l - gmin) * dil
+        psi_raw[off : off + len(v)] += math.sqrt(2.0) * gl * v
+    psi_start = start + gmin * dil
+
+    t_phi = (start + np.arange(len(v))) / dil
+    t_psi = (psi_start + np.arange(len(psi_raw))) / (2 * dil)
+    step = 2.0 ** (-level)
+    k_lo = math.floor(min(t_phi[0], t_psi[0]) / step)
+    k_hi = math.ceil(max(t_phi[-1], t_psi[-1]) / step)
+    t = (k_lo + np.arange(k_hi - k_lo + 1)) * step
+    phi = np.interp(t, t_phi, v, left=0.0, right=0.0)
+    psi = np.interp(t, t_psi, psi_raw, left=0.0, right=0.0)
+    return t, phi, psi, float(delta)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args), None
+    except (ValueError, mm.ConvergenceError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("nu", [1, 3, 5, 9])
+def test_output_stage_bit_identical_to_interp(nu):
+    # Nodes written into the grid and the linear fill between them give
+    # np.interp's bits, signed zeros included; refusals are the same.
+    compared = 0
+    for q in (0.0, 3.0, 15.0, -20.0):
+        params = mm.MathieuParams(nu, q)
+        sol = mm.solve_even(params)
+        for threshold in (0.0, 1e-10):
+            bank = mm.sign_correct(mm.build(params, sol, threshold))
+            for iterations in (1, 4, 10):
+                for extra in (0, 1, 3):
+                    out, err = _outcome(mm.run, bank, iterations, iterations + extra)
+                    ref, ref_err = _outcome(_interp_run, bank, iterations, iterations + extra)
+                    assert err == ref_err
+                    if err is not None:
+                        continue
+                    for got, want in zip((out.t, out.phi, out.psi), ref[:3]):
+                        assert np.array_equal(got, want)
+                        assert np.array_equal(np.signbit(got), np.signbit(want))
+                    assert out.delta == ref[3]
+                    compared += 1
+    assert compared > 0

@@ -200,8 +200,8 @@ def test_validate_report(tmp_path):
 
 def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
     # The trajectory comparison evaluates the series once on 4097 points and
-    # qmf_report once each for H and G; the printed phase-pairing residual is
-    # qmf_report's, and the shooting bracket comes from the CLI's eigensolve.
+    # qmf_report once for H and G together; the printed phase-pairing residual
+    # is qmf_report's, and the shooting bracket comes from the CLI's eigensolve.
     from mathieu_mra import filterbank, oracle
 
     sizes = []
@@ -219,7 +219,7 @@ def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "evaluate", recording(oracle.evaluate))
     monkeypatch.setattr(oracle, "solve_even", no_solve)
     assert run_cli("validate", "--nu", "3", "--q", "3", "--output", str(tmp_path / "v")) == 0
-    assert sizes == [4097, 1024, 1024]
+    assert sizes == [4097, 2048]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "validate"])

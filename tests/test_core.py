@@ -422,6 +422,21 @@ def test_find_root_rejects_bracket_without_sign_change():
         core.find_root(lambda x: x * x + 1.0, (-1.0, 1.0), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_find_root_rejects_bad_tol_before_evaluating(tol):
+    g, calls = _counting(lambda x: x - 0.5)
+    with pytest.raises(ValueError, match="tol"):
+        core.find_root(g, (0.0, 1.0), tol)
+    assert calls == []
+
+
+def test_find_root_rejects_reversed_bracket_before_evaluating():
+    g, calls = _counting(lambda x: x - 0.5)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        core.find_root(g, (1.0, 0.0), 1e-10)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "f",
     [lambda x: -1.0 if x < 0.3 else 1.0, lambda x: (x - 0.3) ** 11],

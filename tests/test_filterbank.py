@@ -182,6 +182,9 @@ def test_qmf_report_matches_five_evaluations(nu, q):
     # shifted frequencies instead of read off the sampled grid.
     params, sol = _pair(nu, q)
     grid = mm.qmf_report(params, sol, 1024)
+    # one evaluation of ce for both transfers, bit for bit the closed forms
+    assert np.array_equal(grid.H, mm.transfer_H(params, sol, grid.omegas))
+    assert np.array_equal(grid.G, mm.transfer_G(params, sol, grid.omegas))
     H_shift = mm.transfer_H(params, sol, grid.omegas + math.pi)
     qmf = np.abs(np.abs(mm.transfer_H(params, sol, grid.omegas)) ** 2 + np.abs(H_shift) ** 2 - 1.0)
     assert np.max(np.abs(grid.qmf_residual - qmf)) <= 1e-13

@@ -258,6 +258,16 @@ def test_shoot_rejects_bracket_without_sign_change():
         mm.shoot_even(1, 0.0, bracket=(20.0, 21.0))
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-10}, {"bracket": (1.0, 0.0)}])
+def test_shoot_refuses_bad_tol_or_bracket_without_integrating(monkeypatch, kwargs):
+    def no_integrate(*args, **kw):
+        raise AssertionError("integrated before refusing the arguments")
+
+    monkeypatch.setattr(oracle, "integrate", no_integrate)
+    with pytest.raises(ValueError):
+        mm.shoot_even(3, 3.0, **kwargs)
+
+
 def test_compare_pure_cosine():
     sol = mm.solve_even(mm.MathieuParams(1, 0.0))
     traj = mm.integrate(1.0, 0.0, 1.0, 0.0, math.pi)
