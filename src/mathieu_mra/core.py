@@ -224,14 +224,18 @@ def find_root(f, bracket, tol):
     below round-off (w ~ 1e-7) the iterates would land on ends already
     evaluated, while tol/2 steps past the root far enough to close the
     bracket.  A tol that is not finite and > 0, or lo > hi, raises
-    ValueError before f is evaluated.
+    ValueError before f is evaluated (:func:`root_bracket`); so does a NaN
+    value of f, which has no sign.  Infinite values are signs like any other.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not lo <= hi:
-        raise ValueError(f"bracket ({lo:.6g}, {hi:.6g}) must have lo <= hi")
-    flo, fhi = f(lo), f(hi)
+    lo, hi = root_bracket(bracket, tol)
+
+    def f_signed(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    flo, fhi = f_signed(lo), f_signed(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -256,7 +260,7 @@ def find_root(f, bracket, tol):
         if not lo < x < hi:
             # delta or r below the float spacing of the ends: x rounded onto one.
             x = mid
-        fx = f(x)
+        fx = f_signed(x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (flo > 0.0):
@@ -265,6 +269,20 @@ def find_root(f, bracket, tol):
             hi, fhi = x, fx
         r_max *= 0.5
     return 0.5 * (lo + hi)
+
+
+def root_bracket(bracket, tol):
+    """``bracket`` as floats (lo, hi), once tol is finite and > 0 and lo <= hi.
+
+    These are :func:`find_root`'s argument checks; each failure raises
+    ValueError.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not lo <= hi:
+        raise ValueError(f"bracket ({lo:.6g}, {hi:.6g}) must have lo <= hi")
+    return lo, hi
 
 
 def count_function_zeros(coeffs):

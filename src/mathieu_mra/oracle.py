@@ -4,12 +4,16 @@ A fixed-step 5th-order Runge-Kutta scheme integrates
 
     y'' + (a - 2 q cos 2z) y = 0
 
-and characteristic values are recovered by shooting on the half-period
-boundary condition, bypassing the tridiagonal eigensolve of
-:mod:`mathieu_mra.core`.  Shooting takes from ``core`` only the default
-bracket centre and the generic scalar root finder (ITP, which brackets the
-root like bisection); the values it returns come from the integration, not
-from the eigensolve.
+and characteristic values are certified by shooting on the quarter-period
+boundary condition, independently of the tridiagonal eigensolve of
+:mod:`mathieu_mra.core`.  A shot first integrates at the two ends of the
+tol-wide interval around its bracket's centre; the default bracket is
+centred on the matrix eigenvalue, so two integrations usually show a sign
+change there and certify the centre to within tol/2.  Only when they do not
+does the generic scalar root finder (ITP, which brackets the root like
+bisection) search the whole bracket.  Either way the value returned is the
+midpoint of an interval no wider than tol across which the integration
+changes sign.
 
 The scheme is Dormand-Prince with its step held fixed.  Because the ODE is
 linear in x = (y, y'), each step is exactly x_{i+1} = (I + E_i) x_i and its
@@ -37,6 +41,7 @@ from .core import (
     MathieuParams,
     evaluate,
     find_root,
+    root_bracket,
     slope_at_zero,
     solve_even,
     solve_odd,
@@ -254,10 +259,12 @@ def _step_text(z_end, n):
 def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     """Characteristic value of the even odd-order solution by shooting.
 
-    Finds the root of a -> y(pi/2) for the trajectory with y(0)=1, y'(0)=0
-    by ITP (:func:`mathieu_mra.core.find_root`); an even solution of odd
-    order vanishes at the quarter period.  The default bracket is the matrix
-    eigenvalue +/- 0.5.
+    The root of a -> y(pi/2) for the trajectory with y(0)=1, y'(0)=0; an
+    even solution of odd order vanishes at the quarter period.  The default
+    bracket is the matrix eigenvalue +/- 0.5.  Returns the bracket's centre
+    when y(pi/2) changes sign within tol/2 of it (two integrations), and
+    otherwise the result of ITP (:func:`mathieu_mra.core.find_root`) on the
+    whole bracket.
     """
     return _shoot("even-ce", nu, q, bracket, tol, step)
 
@@ -265,10 +272,12 @@ def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
 def shoot_odd(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):
     """Characteristic value of the odd odd-order solution by shooting.
 
-    Finds the root of a -> y'(pi/2) for the trajectory with y(0)=0,
-    y'(0)=1 by ITP (:func:`mathieu_mra.core.find_root`); an odd solution of
-    odd order has a flat point at the quarter period.  The default bracket
-    is the matrix eigenvalue +/- 0.5.
+    The root of a -> y'(pi/2) for the trajectory with y(0)=0, y'(0)=1; an
+    odd solution of odd order has a flat point at the quarter period.  The
+    default bracket is the matrix eigenvalue +/- 0.5.  Returns the bracket's
+    centre when y'(pi/2) changes sign within tol/2 of it (two integrations),
+    and otherwise the result of ITP (:func:`mathieu_mra.core.find_root`) on
+    the whole bracket.
     """
     return _shoot("odd-se", nu, q, bracket, tol, step)
 
@@ -278,13 +287,23 @@ def _shoot(kind, nu, q, bracket, tol, step):
     if bracket is None:
         center = (solve_even if even else solve_odd)(MathieuParams(nu, q)).a
         bracket = (center - 0.5, center + 0.5)
+    lo, hi = root_bracket(bracket, tol)
     y0, yprime0 = (1.0, 0.0) if even else (0.0, 1.0)
 
     def endpoint(a):
         traj = integrate(a, q, y0, yprime0, math.pi / 2, step=step)
         return traj.y[-1] if even else traj.yprime[-1]
 
-    return find_root(endpoint, bracket, tol)
+    if hi - lo > tol:
+        # find_root's answer, if the root lies within tol/2 of the centre.
+        mid = 0.5 * (lo + hi)
+        left, right = mid - 0.5 * tol, mid + 0.5 * tol
+        while right - left > tol:  # rounding at |mid| >> tol
+            left, right = math.nextafter(left, mid), math.nextafter(right, mid)
+        f_left, f_right = endpoint(left), endpoint(right)
+        if f_left <= 0.0 <= f_right or f_right <= 0.0 <= f_left:
+            return 0.5 * (left + right)
+    return find_root(endpoint, (lo, hi), tol)
 
 
 def compare(sol, traj):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,11 +192,26 @@ def test_validate_report(tmp_path):
     out = tmp_path / "report.txt"
     assert run_cli("validate", "--nu", "3", "--q", "3", "--output", str(out)) == 0
     text = out.read_text()
-    assert "matrix vs shooting difference:" in text
+    assert "matrix vs shooting difference: 0\nshooting tolerance: 1e-10\n" in text
     assert "phase-pairing identity max residual:" in text
     assert "power-complementarity max residual:" in text
     assert "smoothing-transfer zeros on full period: 3" in text
     assert "detail-transfer zeros on full period: 3" in text
+
+
+def test_validate_sup_error_relative_to_amplitude(tmp_path):
+    # At (1,50) max|y| is 3.9e4: the absolute gap reads 5.7e-7, the relative
+    # one 1.5e-11, the same order as at designs of unit amplitude.
+    out = tmp_path / "report.txt"
+    assert run_cli("validate", "--nu", "1", "--q", "50", "--output", str(out)) == 0
+    label = "series vs trajectory sup error relative to max|y|: "
+    (line,) = [ln for ln in out.read_text().splitlines() if ln.startswith(label)]
+    sol = mathieu_mra.solve_even(mathieu_mra.MathieuParams(1, 50.0))
+    traj = mathieu_mra.integrate(sol.a, 50.0, 1.0, 0.0, math.pi)
+    max_y = np.max(np.abs(traj.y))
+    assert max_y > 3e4
+    assert float(line[len(label):]) == mathieu_mra.compare(sol, traj) / max_y
+    assert float(line[len(label):]) <= 1e-10
 
 
 def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):

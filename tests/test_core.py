@@ -439,6 +439,35 @@ def test_find_root_rejects_reversed_bracket_before_evaluating():
 
 @pytest.mark.parametrize(
     "f",
+    [
+        lambda x: math.nan,
+        lambda x: math.nan if x == 0.0 else x - 0.3,
+        lambda x: math.nan if x == 1.0 else x - 0.3,
+        lambda x: math.nan if 0.2 < x < 0.4 else x - 0.3,
+    ],
+    ids=["everywhere", "at-lo", "at-hi", "inside"],
+)
+def test_find_root_refuses_nan(f):
+    # NaN has no sign: it once read as "same sign as hi" and the search went
+    # on to return a "root" (0.9999999999708962 for f = NaN everywhere).
+    g, calls = _counting(f)
+    with pytest.raises(ValueError, match="is NaN") as refused:
+        core.find_root(g, (0.0, 1.0), 1e-10)
+    assert math.isnan(f(calls[-1]))
+    assert str(refused.value) == f"f({calls[-1]!r}) is NaN"
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: -math.inf if x < 0.3 else 1.0, lambda x: -1.0 if x < 0.3 else math.inf],
+    ids=["minus-inf", "plus-inf"],
+)
+def test_find_root_takes_infinities_as_signs(f):
+    assert abs(core.find_root(f, (0.0, 1.0), 1e-10) - 0.3) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "f",
     [lambda x: -1.0 if x < 0.3 else 1.0, lambda x: (x - 0.3) ** 11],
     ids=["step", "power-11"],
 )

@@ -236,26 +236,110 @@ def test_shoot_matches_matrix_eigenvalue():
     assert abs(mm.shoot_odd(1, 1.0) - b_mat) <= 1e-8
 
 
-@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
-def test_shoot_even_integrations(monkeypatch, nu, q):
-    # y(pi/2; a) is smooth and nearly linear across the bracket, so the root
-    # finder needs a handful of integrations; bisection to 1e-10 took 36.
+def _record_integrations(monkeypatch):
+    """The a of every integration a shot runs from now on."""
     calls = []
     integrate = oracle.integrate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "integrate", counted)
+    monkeypatch.setattr(oracle, "integrate", recorded)
+    return calls
+
+
+def _endpoint(shoot, a, q):
+    """The function a shot finds the root of: y(pi/2) or y'(pi/2)."""
+    if shoot is mm.shoot_even:
+        return mm.integrate(a, q, 1.0, 0.0, math.pi / 2).y[-1]
+    return mm.integrate(a, q, 0.0, 1.0, math.pi / 2).yprime[-1]
+
+
+def _matrix_value(shoot, nu, q):
+    solve = mm.solve_even if shoot is mm.shoot_even else mm.solve_odd
+    return solve(mm.MathieuParams(nu, q)).a
+
+
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
+def test_shoot_even_integrations(monkeypatch, nu, q):
+    # The default bracket is centred on the matrix eigenvalue, which lies
+    # within tol/2 of the root: two integrations certify it, where ITP took 7
+    # and bisection to 1e-10 took 36.
+    calls = _record_integrations(monkeypatch)
     a_shoot = mm.shoot_even(nu, q)
-    assert len(calls) <= 9
+    assert len(calls) == 2
     assert abs(a_shoot - mm.solve_even(mm.MathieuParams(nu, q)).a) <= 1e-8
 
 
-def test_shoot_rejects_bracket_without_sign_change():
-    with pytest.raises(ValueError, match="sign change"):
-        mm.shoot_even(1, 0.0, bracket=(20.0, 21.0))
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
+def test_shoot_odd_integrations(monkeypatch, nu, q):
+    calls = _record_integrations(monkeypatch)
+    b_shoot = mm.shoot_odd(nu, q)
+    assert len(calls) == 2
+    assert abs(b_shoot - mm.solve_odd(mm.MathieuParams(nu, q)).a) <= 1e-8
+
+
+@pytest.mark.parametrize("shoot", [mm.shoot_even, mm.shoot_odd])
+@pytest.mark.parametrize("nu, q", [(1, 0.0), (3, 3.0), (5, 15.0), (7, 20.0), (1, -5.0)])
+def test_centre_certified_by_a_sign_change_within_tol(monkeypatch, shoot, nu, q):
+    # The two integrations are the ends of an interval no wider than tol
+    # around the centre, across which the endpoint changes sign, and the shot
+    # returns its midpoint.  At (5,15) and (7,20) centre -/+ tol/2 rounds to
+    # an interval wider than tol, which the shot narrows.
+    tol = 1e-10
+    centre = _matrix_value(shoot, nu, q)
+    calls = _record_integrations(monkeypatch)
+    found = shoot(nu, q, tol=tol)
+    monkeypatch.undo()
+    left, right = calls
+    assert right - left <= tol
+    assert found == 0.5 * (left + right)
+    assert abs(found - centre) <= tol
+    for lo, hi in [(left, right), (found - tol / 2, found + tol / 2)]:
+        assert _endpoint(shoot, lo, q) * _endpoint(shoot, hi, q) < 0.0
+    if (nu, q) in [(5, 15.0), (7, 20.0)]:
+        assert (centre + tol / 2) - (centre - tol / 2) > tol
+
+
+@pytest.mark.parametrize("shoot", [mm.shoot_even, mm.shoot_odd])
+@pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0)])
+@pytest.mark.parametrize("offset", [0.2, -0.2])
+def test_off_centre_bracket_falls_back_to_the_search(monkeypatch, shoot, nu, q, offset):
+    # A centre 0.2 from the root fails the test, and ITP searches the whole
+    # bracket; both results are midpoints of sign-changing brackets no wider
+    # than tol, so they lie within tol of each other.
+    tol = 1e-10
+    centred = shoot(nu, q, tol=tol)
+    centre = _matrix_value(shoot, nu, q) + offset
+    calls = _record_integrations(monkeypatch)
+    found = shoot(nu, q, bracket=(centre - 0.5, centre + 0.5), tol=tol)
+    assert len(calls) > 4
+    assert calls[2:4] == [centre - 0.5, centre + 0.5]
+    assert abs(found - centred) <= tol
+
+
+def test_bracket_narrower_than_tol_skips_the_centre_test(monkeypatch):
+    # The certified interval of a centred shot at tol 1e-10 is a bracket
+    # narrower than 4e-10: a shot at that tol evaluates only its ends (the
+    # centre test would integrate 2e-10 either side of the centre) and
+    # returns its midpoint.
+    calls = _record_integrations(monkeypatch)
+    found = mm.shoot_even(5, 15.0, tol=1e-10)
+    left, right = calls
+    calls.clear()
+    assert mm.shoot_even(5, 15.0, bracket=(left, right), tol=4e-10) == found
+    assert calls == [left, right]
+
+
+def test_shoot_rejects_bracket_without_sign_change(monkeypatch):
+    # Two integrations at the centre, two at the bracket's ends, then refusal.
+    calls = _record_integrations(monkeypatch)
+    for shoot in (mm.shoot_even, mm.shoot_odd):
+        calls.clear()
+        with pytest.raises(ValueError, match="no sign change"):
+            shoot(1, 0.0, bracket=(20.0, 21.0))
+        assert len(calls) == 4
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-10}, {"bracket": (1.0, 0.0)}])
