@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mathieu_mra as mm
+from mathieu_mra import transform
 from mathieu_mra.filterbank import tap_arrays
 
 # Round-trip sup errors for the seeded length-64 signal, recorded.
@@ -167,3 +169,86 @@ def test_polyphase_matches_gather_reference_bit_for_bit(nu, q):
             for d in reversed(res.details):
                 ref = _reference_synthesis_step(ref, d, bank)
             assert np.array_equal(mm.inverse(res, bank), ref)
+
+
+BANKS = [(1, 0.0), (3, 0.0), (3, 3.0), (5, 5.0), (5, 15.0), (7, 20.0)]
+
+
+def _same(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_inverse_matches_reference(res, bank):
+    ref = res.approx
+    for d in reversed(res.details):
+        ref = _reference_synthesis_step(ref, d, bank)
+    assert _same(mm.inverse(res, bank), ref)
+
+
+def _assert_reference_bit_for_bit(x, bank, levels):
+    """forward and inverse against the gather / np.add.at steps at every
+    level, values and signs of zero both."""
+    res = mm.forward(x, bank, levels)
+    cur = x
+    for d in res.details:
+        cur, ref_d = _reference_analysis_step(cur, bank)
+        assert _same(d, ref_d)
+    assert _same(res.approx, cur)
+    _assert_inverse_matches_reference(res, bank)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("nu,q", BANKS)
+def test_block_seams_match_reference_bit_for_bit(monkeypatch, nu, q, block):
+    # Small blocks put many seams in every level and a partial last block
+    # where the block does not divide the level; at deep levels the windows
+    # are longer than the phase they wrap.
+    monkeypatch.setattr(transform, "_BLOCK", block)
+    bank = _bank(nu, q)
+    rng = np.random.default_rng(nu * 100 + int(q))
+    for k in range(1, 8):
+        _assert_reference_bit_for_bit(rng.standard_normal(2 ** k), bank, k)
+    _assert_reference_bit_for_bit(rng.standard_normal(40), bank, 3)
+
+
+def test_several_default_blocks_per_level_match_reference():
+    # Level 1 has 2**16 + 2**12 outputs and level 2 2**15 + 2**11: full
+    # blocks, then a partial last one.
+    x = np.random.default_rng(17).standard_normal(2 ** 17 + 2 ** 13)
+    assert x.size // 2 > transform._BLOCK
+    _assert_reference_bit_for_bit(x, _bank(7, 20.0), 2)
+
+
+@pytest.mark.parametrize("nu,q", BANKS)
+def test_signed_zeros_match_reference(nu, q):
+    # Every output sample starts from +0.0: a product of -0.0 alone, or of
+    # zero with a negative tap, must not leave a -0.0 behind.
+    bank = _bank(nu, q)
+    x = np.random.default_rng(5).standard_normal(64)
+    x[8:24], x[24:40] = 0.0, -0.0
+    for sig in (x, np.zeros(64), np.full(64, -0.0)):
+        _assert_reference_bit_for_bit(sig, bank, 4)
+        # forward returns no -0.0, so give inverse signed-zero subbands.
+        bands = mm.DwtResult(4, sig[:4], [sig[32:], sig[16:32], sig[8:16], sig[4:8]], 64)
+        _assert_inverse_matches_reference(bands, bank)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_and_inverse_make_no_full_size_scratch():
+    # numpy reports its buffers to tracemalloc.  Outputs and the previous
+    # level's approximation (or reconstruction) come to 1.5x the signal's
+    # bytes in either direction and the block buffers to at most 0.625x;
+    # one full-size phase copy or per-tap temporary brings the peak to 2.5x.
+    bank = _bank(7, 20.0)
+    x = np.random.default_rng(3).standard_normal(2 ** 18)
+    res, forward_peak = _traced_peak(mm.forward, x, bank, 6)
+    _, inverse_peak = _traced_peak(mm.inverse, res, bank)
+    assert forward_peak < 2.5 * x.nbytes
+    assert inverse_peak < 2.5 * x.nbytes
