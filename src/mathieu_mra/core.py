@@ -13,12 +13,19 @@ operator.  Its Householder reduction leaves tridiagonal input unchanged,
 and it ends in the same divide-and-conquer LAPACK solver (?stedc) as a
 tridiagonal solve.  One solve per harmonic count: the count doubles until
 the eigenvector's last coefficient has decayed below ``TAIL_DECAY`` of its
-largest, which alone bounds the eigenvalue's truncation error.
+largest, which alone bounds the eigenvalue's truncation error.  The numbers
+of the last few solves are cached per (kind, nu, q), -0.0 and 0.0 apart;
+every call still returns its own EigenSolution.
+
+The series are summed by Clenshaw's recurrence on the odd Chebyshev series
+they equal, in one plain loop for scalars and arrays that gives bit for
+bit what numpy's ``chebval`` gives; numpy's Chebyshev module still finds
+the roots for the zero count.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -95,7 +102,20 @@ def _initial_order(nu, q):
 
 
 def _solve(kind, params):
-    nu, q = params.nu, float(params.q)
+    q = float(params.q)
+    a, vec = _eigenpair(kind, params.nu, q, math.copysign(1.0, q))
+    return EigenSolution(kind, params.nu, q, a, vec)
+
+
+@lru_cache(maxsize=4)
+def _eigenpair(kind, nu, q, q_sign):
+    """(a, coeffs) of one solve, the coefficients read-only.
+
+    Cached for the last few designs, so a shot after the design's own solve
+    (``shoot_even(nu, q)`` without a bracket) does not solve it again;
+    ``q_sign`` keys the cache only, as -0.0 and 0.0 hash alike.  A refused
+    solve raises ConvergenceError and is not cached.
+    """
     index = (nu - 1) // 2
     n = 2 * _initial_order(nu, q)
     while True:
@@ -120,7 +140,8 @@ def _solve(kind, params):
     # value_at_zero and slope_at_zero sum it, so their sign is the one fixed here.
     if _series("even-ce", vec if kind == "even-ce" else m * vec, 0.0) < 0:
         vec = -vec
-    return EigenSolution(kind, nu, q, a, vec)
+    vec.setflags(write=False)
+    return a, vec
 
 
 def solve_even(params):
@@ -154,13 +175,39 @@ def _chebyshev(coeffs):
 
 def _series(kind, coeffs, x):
     """Clenshaw sum of sum_k coeffs[k] cos((2k+1) x) ("even-ce") or sin((2k+1) x),
-    as cos((2k+1) x) = T_{2k+1}(cos x) and sin((2k+1) x) = (-1)^k T_{2k+1}(sin x)."""
+    as cos((2k+1) x) = T_{2k+1}(cos x) and sin((2k+1) x) = (-1)^k T_{2k+1}(sin x).
+
+    Clenshaw's recurrence on that odd Chebyshev series (numpy's ``chebval``
+    on it, bit for bit) takes two steps per odd harmonic, one of them with a
+    zero coefficient, fused here into one.  Scalar x gives a float.
+    """
+    c = coeffs.tolist()
     if kind == "even-ce":
-        vals = chebyshev.chebval(np.cos(x), _chebyshev(coeffs))
+        t = np.cos(x)
     else:
-        alt = np.resize([1.0, -1.0], len(coeffs))
-        vals = chebyshev.chebval(np.sin(x), _chebyshev(alt * coeffs))
-    return float(vals) if np.ndim(x) == 0 else vals
+        c[1::2] = [-ck for ck in c[1::2]]
+        t = np.sin(x)
+    if np.ndim(t) == 0:
+        t = float(t)
+    if len(c) == 1:
+        return 0.0 + c[0] * t
+    t2 = 2.0 * t
+    b0 = c[-2] - c[-1]
+    b1 = 0.0 + c[-1] * t2
+    for ck in c[-3::-1]:
+        # chebval's steps at the zero coefficient and at ck, fused:
+        # u = b0 + b1 t2, b0 = ck - u, b1 = u t2 - b1 (augmented assignments
+        # update arrays in place and rebind floats).  chebval's b1 is
+        # (0 - b1) + u t2, which differs only in the sign of a zero (b1 = +0,
+        # u t2 = -0); the two then agree as real numbers, and the last line
+        # turns a zero of either sign into +0, so no result bit moves.
+        u = b1 * t2
+        u += b0
+        b0 = ck - u
+        u *= t2
+        u -= b1
+        b1 = u
+    return (0.0 - b1) + (b0 + b1 * t2) * t
 
 
 def evaluate(sol, x):

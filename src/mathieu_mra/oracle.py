@@ -23,11 +23,14 @@ not depend on a.  :func:`integrate` builds these matrices with numpy for
 blocks of ``_BLOCK`` steps, so a quarter-period shot at the default step is
 one block.  It gets the block's states from a two-level prefix-product scan
 (Blelloch 1990) started at the state carried over from the previous block:
-sequential products within chunks of ``_CHUNK`` steps, all chunks at once,
-a log-depth Hillis-Steele scan over the chunk totals only, and one pass
-that applies to each chunk the product of the chunks before it.  Every
-step's error estimate is checked before the next block.  The cos table is
-cached per (q, step, block), so the integrations of one shot build it once.
+sequential products within chunks of ``_CHUNK`` steps, all chunks at once
+on a step-major copy whose rows are contiguous, a log-depth Hillis-Steele
+scan over the chunk totals only, and one pass that applies to each chunk
+the product of the chunks before it.  Every step's error estimate is
+checked before the next block.  The cos table is cached per (q, step,
+block), so the integrations of one shot build it once; it, the stage
+matrices and the states are written into arrays made once per block,
+without per-stage or per-step temporaries.
 """
 
 import functools
@@ -106,8 +109,16 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9)
     :class:`StepSizeError` if the embedded error estimate of any step
     exceeds ``max_local_error``; its message names a step at which a whole
     run passes.  Raises :class:`ConvergenceError` if the trajectory becomes
-    non-finite.
+    non-finite, and ValueError naming the argument, before any work, if a,
+    q, y0, yprime0, z_end or step is not finite or max_local_error is NaN.
     """
+    for name, value in (
+        ("a", a), ("q", q), ("y0", y0), ("yprime0", yprime0), ("z_end", z_end), ("step", step)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if math.isnan(max_local_error):
+        raise ValueError("max_local_error must not be NaN")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if z_end <= 0.0:
@@ -117,7 +128,8 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9)
     x, err = _march(a, q, y0, yprime0, h, n, max_local_error)
     if x is None:
         raise StepSizeError(
-            f"step {h:.6g} too large: local error {err:.3e} exceeds "
+            f"step {h:.6g} too large: local error "
+            f"{_shortest(err, lambda e: e > max_local_error)} exceeds "
             f"{max_local_error:.3e}; "
             + _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error)
         )
@@ -134,27 +146,46 @@ def _march(a, q, y0, yprime0, h, n, max_local_error):
     exceeds ``max_local_error``; no block after that step is computed.  A
     non-finite estimate means the trajectory has blown up and raises
     :class:`ConvergenceError`.  Overflow inside the step matrices is expected
-    on such input and is not warned about.
+    on such input and is not warned about.  Each block runs in
+    :func:`_block`, so one block's arrays are alive at a time and the next
+    block reuses their memory; held into the next block, they made glibc's
+    allocator return and re-fault ~170 pages per two-block run.
     """
     x = np.empty((2, n + 1))
     x[:, 0] = y0, yprime0
+    scratch = np.empty((2, 2, min(_BLOCK, n)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
-            nb = min(_BLOCK, n - i0)
-            E, D = _step_matrices(a, q, h, i0, nb)
-            Q = _prefix_products(E)
-            start = x[:, i0]
-            x[:, i0 + 1 : i0 + nb + 1] = start[:, None] + Q[:, 0] * start[0] + Q[:, 1] * start[1]
-            before = x[:, i0 : i0 + nb]
-            e = D[:, 0] * before[0] + D[:, 1] * before[1]
-            err = np.maximum(np.abs(e[0]), np.abs(e[1]))
-            refused = ~(err <= max_local_error)
-            if refused.any():
-                first = float(err[np.argmax(refused)])
-                if not math.isfinite(first):
+            err = _block(a, q, h, x, i0, min(_BLOCK, n - i0), scratch, max_local_error)
+            if err is not None:
+                if not math.isfinite(err):
                     raise ConvergenceError("trajectory blew up (non-finite samples)")
-                return None, first
+                return None, err
     return x, None
+
+
+def _block(a, q, h, x, i0, nb, scratch, max_local_error):
+    """Writes the states after steps i0 .. i0+nb-1 into x[:, i0+1 : i0+nb+1].
+
+    Returns the error estimate of the first of these steps whose estimate
+    exceeds ``max_local_error``, or None.  States and estimates are computed
+    into x and ``scratch``, as (start + Q[:, 0] y) + Q[:, 1] y' and
+    D[:, 0] y + D[:, 1] y' at the state before each step.
+    """
+    E, D = _step_matrices(a, q, h, i0, nb)
+    Q = _prefix_products(E)
+    e, t = scratch[:, :, :nb]
+    start = x[:, i0]
+    after = x[:, i0 + 1 : i0 + nb + 1]
+    np.multiply(Q[:, 0], start[0], out=after)
+    np.add(start[:, None], after, out=after)
+    after += np.multiply(Q[:, 1], start[1], out=t)
+    before = x[:, i0 : i0 + nb]
+    np.multiply(D[:, 0], before[0], out=e)
+    e += np.multiply(D[:, 1], before[1], out=t)
+    err = np.maximum(np.abs(e[0], out=e[0]), np.abs(e[1], out=e[1]), out=e[0])
+    passed = err <= max_local_error
+    return None if passed.all() else float(err[np.argmin(passed)])
 
 
 def _step_matrices(a, q, h, i0, nb):
@@ -162,20 +193,29 @@ def _step_matrices(a, q, h, i0, nb):
 
     With x = (y, y') the ODE is x' = J(z) x, J = [[0, 1], [-w, 0]] and
     w(z) = a - 2 q cos 2z.  Stage s then has slope K_s x with
-    K_s = J(z + c_s h) (I + h sum_j A_sj K_j), the step is x -> (I + E) x
-    with E = h sum_s B5_s K_s, and its embedded error estimate is D x with
-    D = h sum_s (B5_s - B4_s) K_s.  E is returned without the identity so
-    that rounding 1 + O(h) does not bias every step alike.
+    K_s = J(z + c_s h) G_s, G_s = I + h sum_j A_sj K_j, the step is
+    x -> (I + E) x with E = h sum_s B5_s K_s, and its embedded error
+    estimate is D x with D = h sum_s (B5_s - B4_s) K_s.  E is returned
+    without the identity so that rounding 1 + O(h) does not bias every step
+    alike.  G_0 = I, so K_0 is written directly; the other G_s go through
+    one scratch array, and -w, negated once, multiplies G_s straight into K.
     """
-    w = a - _stage_table(q, h, i0, nb)
+    negw = a - _stage_table(q, h, i0, nb)
+    np.negative(negw, out=negw)
+    hA = h * _A
     K = np.empty((7, 2, 2, nb))
     flat = K.reshape(7, -1)
-    for s in range(7):
-        G = (h * _A[s, :s] @ flat[:s]).reshape(2, 2, nb)
+    K[0, 0, 0] = 0.0
+    K[0, 0, 1] = 1.0
+    K[0, 1, 0] = negw[0]
+    np.multiply(negw[0], 0.0, out=K[0, 1, 1])  # a zero signed as -w, or NaN
+    G = np.empty((2, 2, nb))
+    for s in range(1, 7):
+        np.matmul(hA[s, :s], flat[:s], out=G.reshape(-1))
         G[0, 0] += 1.0
         G[1, 1] += 1.0
         K[s, 0] = G[1]
-        K[s, 1] = -w[s] * G[0]
+        np.multiply(negw[s], G[0], out=K[s, 1])
     return (h * _B5 @ flat).reshape(2, 2, nb), (h * (_B5 - _B4) @ flat).reshape(2, 2, nb)
 
 
@@ -185,11 +225,15 @@ def _stage_table(q, h, i0, nb):
 
     It does not depend on a, so every integration of one shot shares it.
     The last two stages sit at the same point (c = 1), so that row is
-    computed once.
+    computed once; until it is copied, the last row holds the z_i.
     """
-    z = (i0 + np.arange(nb)) * h
-    table = 2.0 * q * np.cos(2.0 * (z + _C[:6, None] * h))
-    table = table[[0, 1, 2, 3, 4, 5, 5]]
+    table = np.empty((7, nb))
+    z = np.multiply(np.arange(i0, i0 + nb), h, out=table[6])
+    rows = np.add(z, _C[:6, None] * h, out=table[:6])
+    rows *= 2.0
+    np.cos(rows, out=rows)
+    rows *= 2.0 * q
+    table[6] = table[5]
     table.setflags(write=False)
     return table
 
@@ -202,27 +246,31 @@ def _combine(later, earlier):
 def _prefix_products(E):
     """Q_i with I + Q_i = (I + E_i) ... (I + E_1)(I + E_0), for a (2, 2, m) stack.
 
-    Two-level scan: the stack, padded with zero increments (identity steps)
-    to whole chunks of ``_CHUNK`` steps, is multiplied in sequence within
-    each chunk, all chunks at once.  A Hillis-Steele scan (one pass per
-    doubling of the chunk count, each combining the totals with themselves
-    shifted by d = 1, 2, 4, ...) turns the chunk totals into running
-    products, and one pass applies to every chunk the running product of
-    the chunks before it.
+    Two-level scan.  The stack is copied step-major into a contiguous
+    (_CHUNK, 2, 2, nc) array: row j holds steps j, j + _CHUNK, ..., and zero
+    increments (identity steps) pad the last chunk.  Each row is multiplied
+    by the one before, so every chunk's product builds up in sequence, all
+    chunks at once, one contiguous row at a time.  A Hillis-Steele scan (one
+    pass per doubling of the chunk count, each combining the totals with
+    themselves shifted by d = 1, 2, 4, ...) turns the chunk totals into
+    running products, and one pass applies to every chunk the running
+    product of the chunks before it.
     """
     m = E.shape[-1]
     nc = -(-m // _CHUNK)
-    Q = np.zeros((2, 2, nc, _CHUNK))
-    Q.reshape(2, 2, -1)[..., :m] = E
+    Q = np.zeros((_CHUNK, 2, 2, nc))
+    for j in range(_CHUNK):
+        Q[j, ..., : -(-(m - j) // _CHUNK)] = E[..., j::_CHUNK]
     for j in range(1, _CHUNK):
-        Q[..., j] = _combine(Q[..., j], Q[..., j - 1])
-    T = Q[..., -1].copy()
+        Q[j] = _combine(Q[j], Q[j - 1])
+    T = Q[-1].copy()
     d = 1
     while d < nc:
         T[..., d:] = _combine(T[..., d:], T[..., :-d])
         d *= 2
-    Q[:, :, 1:] = _combine(Q[:, :, 1:], T[:, :, :-1, None])
-    return Q.reshape(2, 2, -1)[..., :m]
+    steps = Q.transpose(1, 2, 3, 0)  # (2, 2, nc, _CHUNK), in step order
+    steps[:, :, 1:] = _combine(steps[:, :, 1:], T[..., :-1, None])
+    return steps.reshape(2, 2, -1)[..., :m]
 
 
 def _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error):
@@ -243,17 +291,18 @@ def _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error):
         n = max(n + 1, round(z_end / candidate))
         x, err = _march(a, q, y0, yprime0, z_end / n, n, max_local_error)
         if x is not None:
-            return f"use step <= {_step_text(z_end, n)}"
+            # printed so that integrate gets n steps back from it
+            return f"use step <= {_shortest(z_end / n, lambda step: round(z_end / step) == n)}"
         candidate = 0.9 * (z_end / n) * (max_local_error / err) ** 0.2
 
 
-def _step_text(z_end, n):
-    """The step z_end/n printed with the fewest digits (at least 4) from which
-    :func:`integrate` gets n steps back."""
+def _shortest(value, reads_right):
+    """value printed with the fewest significant digits, at least 4, whose
+    text read back satisfies ``reads_right``."""
     digits = 3
-    while round(z_end / float(f"{z_end / n:.{digits}e}")) != n:
+    while not reads_right(float(f"{value:.{digits}e}")):
         digits += 1
-    return f"{z_end / n:.{digits}e}"
+    return f"{value:.{digits}e}"
 
 
 def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):

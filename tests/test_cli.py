@@ -238,6 +238,38 @@ def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
     assert sizes == [4097, 2048]
 
 
+@pytest.mark.parametrize(
+    "nu, q, error",
+    [
+        (1, "-375", "local error 1.010e-09 exceeds 1.000e-09; use step <= 1.5455e-04"),
+        (3, "-500", "local error 1.022e-09 exceeds 1.000e-09; use step <= 1.12056e-04"),
+        (5, "-650", "local error 1.008e-09 exceeds 1.000e-09; use step <= 8.0636e-05"),
+    ],
+)
+def test_validate_step_size_error_line(capsys, nu, q, error):
+    assert run_cli("validate", "--nu", str(nu), "--q", q) == 3
+    assert capsys.readouterr().err == f"error: step 0.00076699 too large: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "nu, q, error",
+    [
+        (1, "400", "local error 1.0004e-09 exceeds 1.000e-09"),  # 1.0003893e-09
+        (15, "900", "local error 1.402e-09 exceeds 1.000e-09"),
+    ],
+)
+def test_validate_step_size_error_reads_above_the_bound(capsys, monkeypatch, nu, q, error):
+    # The error is printed with the fewest digits (at least 4) at which it
+    # reads above the bound: at (1,400) it once read "1.000e-09 exceeds
+    # 1.000e-09".  The step hint, whose search takes seconds at these two
+    # designs, is stubbed out.
+    from mathieu_mra import oracle
+
+    monkeypatch.setattr(oracle, "_sufficient_step", lambda *args: "hint")
+    assert run_cli("validate", "--nu", str(nu), "--q", q) == 3
+    assert capsys.readouterr().err == f"error: step 0.00076699 too large: {error}; hint\n"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "validate"])
 def test_phase_pairing_failure_exit_3(tmp_path, capsys, command):
     # Round-off in ce breaks the 1e-10 phase-pairing check from q ~ 55 at nu = 1.

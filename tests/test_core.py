@@ -7,6 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
 import mathieu_mra as mm
+import reference
 from mathieu_mra import core
 
 # Published characteristic values for the two showcase parameter pairs.
@@ -353,6 +354,7 @@ def test_stop_test_reachable_at_large_q(solver, nu, q):
 @pytest.mark.parametrize("nu,q", [(3, 3.0), (5, 15.0), (9, 30.0), (3, 200.0), (1, 1950.0)])
 @pytest.mark.parametrize("solver", [mm.solve_even, mm.solve_odd])
 def test_one_eigensolve_per_solve(monkeypatch, solver, nu, q):
+    core._eigenpair.cache_clear()
     calls = []
     eigh = np.linalg.eigh
 
@@ -363,6 +365,88 @@ def test_one_eigensolve_per_solve(monkeypatch, solver, nu, q):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     sol = solver(mm.MathieuParams(nu, q))
     assert calls == [sol.truncation_order]
+
+
+def test_cached_solve_is_a_fresh_solution_bit_equal_to_a_cold_one():
+    # Each call returns its own EigenSolution, so each keeps its own zero
+    # count; the numbers come from the cache, bit for bit.
+    params = mm.MathieuParams(5, 15.0)
+    core._eigenpair.cache_clear()
+    first = mm.solve_even(params)
+    cached = mm.solve_even(params)
+    info = core._eigenpair.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert cached is not first
+    assert mm.count_zeros(first) == 5
+    assert "_zero_count" in vars(first) and "_zero_count" not in vars(cached)
+    assert not cached.coeffs.flags.writeable
+    core._eigenpair.cache_clear()
+    cold = mm.solve_even(params)
+    assert cached.a == cold.a
+    assert cached.coeffs.tobytes() == cold.coeffs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((mm.solve_even, 0.0), (mm.solve_even, -0.0)),
+        ((mm.solve_even, -0.0), (mm.solve_even, 0.0)),
+        ((mm.solve_even, 3.0), (mm.solve_odd, 3.0)),
+    ],
+)
+def test_solve_cache_tells_signed_zeros_and_kinds_apart(first, second):
+    core._eigenpair.cache_clear()
+    for solver, q in (first, second):
+        sol = solver(mm.MathieuParams(1, q))
+        assert math.copysign(1.0, sol.q) == math.copysign(1.0, q)
+        assert sol.kind == ("even-ce" if solver is mm.solve_even else "odd-se")
+    info = core._eigenpair.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+def test_refused_solve_is_not_cached(monkeypatch):
+    # With the tail test never met and the cap at 100 harmonics, the solve
+    # at (3,3) runs at 50 and 100 harmonics, then raises; every call does so.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(op):
+        calls.append(len(op))
+        return eigh(op)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(core, "TAIL_DECAY", 0.0)
+    monkeypatch.setattr(core, "MAX_HARMONICS", 100)
+    core._eigenpair.cache_clear()
+    for _ in range(2):
+        with pytest.raises(mm.ConvergenceError, match="below 100 harmonics"):
+            mm.solve_even(mm.MathieuParams(3, 3.0))
+    assert calls == [50, 100, 50, 100]
+    assert core._eigenpair.cache_info().currsize == 0
+
+
+def _series_coefficients(length):
+    """Random coefficients, and those of (1, +-0) and (3, +-0), whose exact
+    and signed zeros the sum meets, with the derivative's -m c and m c."""
+    vectors = [np.random.default_rng(length).standard_normal(length)]
+    for nu, q in [(1, 0.0), (1, -0.0), (3, 0.0), (3, -0.0)]:
+        for solver in (mm.solve_even, mm.solve_odd):
+            c = solver(mm.MathieuParams(nu, q)).coeffs[:length]
+            m = 2 * np.arange(length) + 1
+            vectors += [c, -m * c, m * c]
+    return vectors
+
+
+SERIES_POINTS = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 0.3]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 50])
+@pytest.mark.parametrize("kind", ["even-ce", "odd-se"])
+def test_series_matches_chebval_reference_bit_for_bit(kind, length):
+    points = np.array(SERIES_POINTS + list(np.linspace(-2 * math.pi, 2 * math.pi, 101)))
+    for c in _series_coefficients(length):
+        for x in SERIES_POINTS + [points]:
+            assert reference.bit_equal(core._series(kind, c, x), reference.series(kind, c, x)), (c, x)
 
 
 @pytest.mark.parametrize("q", [3e5, 1e7])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mathieu_mra as mm
+import reference
 from mathieu_mra import oracle
 
 A_REF_3_3 = 9.915506290452134
@@ -39,56 +40,6 @@ def test_grid_shape_and_uniformity():
     assert np.max(np.abs(steps - traj.step)) <= 1e-15
 
 
-# Scalar Dormand-Prince loop that ``integrate`` replaced with the
-# transfer-matrix scan; kept as the reference the scan must reproduce.
-_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def reference_integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_local_error=1e-9):
-    """(ys, yps) from the scalar loop; raises StepSizeError like ``integrate``."""
-    n = max(1, round(z_end / step))
-    h = z_end / n
-    ys = np.empty(n + 1)
-    yps = np.empty(n + 1)
-    y, yp = float(y0), float(yprime0)
-    ys[0], yps[0] = y, yp
-    ky = [0.0] * 7
-    kp = [0.0] * 7
-    z = 0.0
-    for i in range(n):
-        for s in range(7):
-            yi, pi = y, yp
-            row = _REF_A[s]
-            for j in range(s):
-                yi += h * row[j] * ky[j]
-                pi += h * row[j] * kp[j]
-            ky[s] = pi
-            kp[s] = -(a - 2.0 * q * math.cos(2.0 * (z + _REF_C[s] * h))) * yi
-        dy5 = sum(_REF_B5[s] * ky[s] for s in range(7))
-        dp5 = sum(_REF_B5[s] * kp[s] for s in range(7))
-        dy4 = sum(_REF_B4[s] * ky[s] for s in range(7))
-        dp4 = sum(_REF_B4[s] * kp[s] for s in range(7))
-        err = h * max(abs(dy5 - dy4), abs(dp5 - dp4))
-        if err > max_local_error:
-            raise mm.StepSizeError(f"step {h:.6g} refused: local error {err:.3e}")
-        y += h * dy5
-        yp += h * dp5
-        z += h
-        ys[i + 1], yps[i + 1] = y, yp
-    return ys, yps
-
-
 @pytest.mark.parametrize(
     "nu, q, y0, yprime0, z_end",
     [
@@ -107,7 +58,7 @@ def reference_integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_loca
 def test_scan_matches_scalar_reference(nu, q, y0, yprime0, z_end):
     a = mm.solve_even(mm.MathieuParams(nu, q)).a
     traj = mm.integrate(a, q, y0, yprime0, z_end)
-    ys, yps = reference_integrate(a, q, y0, yprime0, z_end)
+    ys, yps = reference.integrate(a, q, y0, yprime0, z_end)
     assert traj.y.shape == ys.shape
     assert np.array_equal(traj.grid, np.linspace(0.0, z_end, len(ys)))
     assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
@@ -147,6 +98,36 @@ def test_one_stage_table_per_shot(shoot, nu, q):
 
 
 @pytest.mark.parametrize(
+    "n",
+    [oracle._CHUNK - 1, oracle._CHUNK + 1, oracle._BLOCK - 1, oracle._BLOCK + 1, 2 * oracle._BLOCK + 3],
+)
+@pytest.mark.parametrize(
+    "a, q, h",
+    [
+        (A_REF_5_15, 15.0, mm.DEFAULT_STEP),
+        (A_REF_3_3, 3.0, mm.DEFAULT_STEP),
+        (1.0, 0.0, mm.DEFAULT_STEP),  # a table of signed zeros
+        (1.0, -0.0, mm.DEFAULT_STEP),
+        (0.0, 0.0, mm.DEFAULT_STEP),  # w = a - table is a signed zero too
+        (400.0, 0.0, 0.02),  # refused in the first block
+    ],
+)
+def test_block_functions_match_references_bit_for_bit(a, q, h, n):
+    for i0 in range(0, n, oracle._BLOCK):
+        nb = min(oracle._BLOCK, n - i0)
+        assert reference.bit_equal(oracle._stage_table(q, h, i0, nb), reference.stage_table(q, h, i0, nb))
+        E, D = oracle._step_matrices(a, q, h, i0, nb)
+        E_ref, D_ref = reference.step_matrices(a, q, h, i0, nb)
+        assert reference.bit_equal(E, E_ref) and reference.bit_equal(D, D_ref)
+        assert reference.bit_equal(oracle._prefix_products(E), reference.prefix_products(E))
+    for y0, yprime0 in [(1.0, 0.0), (0.0, 1.0)]:
+        x, err = oracle._march(a, q, y0, yprime0, h, n, 1e-9)
+        x_ref, err_ref = reference.march(a, q, y0, yprime0, h, n, 1e-9)
+        assert err == err_ref
+        assert (x is None and x_ref is None) or reference.bit_equal(x, x_ref)
+
+
+@pytest.mark.parametrize(
     "a, q, step",
     [
         (400.0, 0.0, 0.5),
@@ -169,7 +150,7 @@ def test_step_refusal_matches_scalar_reference(a, q, step):
             return True
         return False
 
-    assert refused(mm.integrate) == refused(reference_integrate)
+    assert refused(mm.integrate) == refused(reference.integrate)
 
 
 def test_step_refusal_reports_requirement():
@@ -204,10 +185,37 @@ def test_step_refusal_hint_gives_up_on_unreachable_tolerance():
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 1e300])
 def test_non_finite_trajectory_raises_without_warnings(a):
+    # A non-finite a is refused before any step; a finite one whose
+    # trajectory overflows blows up.
+    refusal = (ValueError, "a must be finite") if not math.isfinite(a) else (mm.ConvergenceError, "blew up")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(mm.ConvergenceError, match="blew up"):
+        with pytest.raises(refusal[0], match=refusal[1]):
             mm.integrate(a, 0.0, 1.0, 0.0, math.pi)
+
+
+def _no_march(*args):
+    raise AssertionError("marched before refusing the arguments")
+
+
+@pytest.mark.parametrize("name", ["a", "q", "y0", "yprime0", "z_end", "step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_non_finite_arguments_before_any_work(monkeypatch, name, value):
+    # z_end = inf once raised OverflowError, which escaped the CLI's handler;
+    # a NaN step or z_end "cannot convert float NaN to integer"; a NaN a
+    # "trajectory blew up".
+    monkeypatch.setattr(oracle, "_march", _no_march)
+    args = {"a": A_REF_3_3, "q": 3.0, "y0": 1.0, "yprime0": 0.0, "z_end": math.pi, "step": mm.DEFAULT_STEP}
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        mm.integrate(**args)
+
+
+def test_integrate_refuses_a_nan_error_bound(monkeypatch):
+    # Every step would be refused, and no error reads above a NaN bound.
+    monkeypatch.setattr(oracle, "_march", _no_march)
+    with pytest.raises(ValueError, match="max_local_error must not be NaN"):
+        mm.integrate(1.0, 0.0, 1.0, 0.0, math.pi, max_local_error=math.nan)
 
 
 def test_invalid_arguments():
