@@ -259,22 +259,26 @@ def recurrence_residual(sol):
 
 def find_root(f, bracket, tol):
     """Root of scalar f in ``bracket`` = (lo, hi), whose ends f must not
-    share a sign: the midpoint of a sign-changing bracket no wider than ``tol``.
+    share a sign: the midpoint of a sign-changing interval no wider than ``tol``.
 
-    ITP (Oliveira & Takahashi 2020, ACM TOMS 47(1)) with kappa1 =
-    0.2/(hi - lo), kappa2 = 2 and n0 = 1: the regula falsi point, moved
-    towards the midpoint by delta = kappa1 w^2 (w the current width), then
-    projected to within r of the midpoint, r shrinking so that the bracket
-    never lags bisection by more than n0 halvings.  Superlinear on smooth f;
-    at worst n0 evaluations more than bisection, plus one where round-off
-    leaves the last width a hair above tol.  delta is floored at tol/2:
-    below round-off (w ~ 1e-7) the iterates would land on ends already
-    evaluated, while tol/2 steps past the root far enough to close the
-    bracket.  A tol that is not finite and > 0, or lo > hi, raises
-    ValueError before f is evaluated (:func:`root_bracket`); so does a NaN
-    value of f, which has no sign.  Infinite values are signs like any other.
+    f is first evaluated at the ends of the pair centre -/+ tol/2, narrowed
+    by one float spacing per side while rounding leaves it wider than tol.
+    If f changes sign across it or vanishes at an end, its midpoint is
+    returned: a bracket centred on an estimate of the root, as a shot's
+    default bracket is, costs two evaluations.  Otherwise f is evaluated at
+    lo and hi, and bisection runs on the side of the pair where f changes
+    sign (37 evaluations in all for a width-1 bracket at tol 1e-10).  The
+    pair is skipped when the bracket is no wider than tol or the pair
+    rounds to one point or onto an end, which would be evaluated again.
+    A tol that is not finite and > 0, or lo > hi, raises ValueError before
+    f is evaluated; so does a NaN value of f, which has no sign.  Infinite
+    values are signs like any other.
     """
-    lo, hi = root_bracket(bracket, tol)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not lo <= hi:
+        raise ValueError(f"bracket ({lo:.6g}, {hi:.6g}) must have lo <= hi")
 
     def f_signed(x):
         fx = f(x)
@@ -282,54 +286,34 @@ def find_root(f, bracket, tol):
             raise ValueError(f"f({x!r}) is NaN")
         return fx
 
+    mid = 0.5 * (lo + hi)
+    left, right = mid - 0.5 * tol, mid + 0.5 * tol
+    while right - left > tol:  # rounding at |mid| >> tol
+        left, right = math.nextafter(left, mid), math.nextafter(right, mid)
+    pair = hi - lo > tol and lo < left < right < hi
+    if pair:
+        f_left, f_right = f_signed(left), f_signed(right)
+        if f_left <= 0.0 <= f_right or f_right <= 0.0 <= f_left:
+            return 0.5 * (left + right)
     flo, fhi = f_signed(lo), f_signed(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change in bracket ({lo:.6g}, {hi:.6g})")
-    kappa1 = 0.2 / (hi - lo)
-    r_max = 0.5 * tol * 2.0 ** (max(0, math.ceil(math.log2((hi - lo) / tol))) + 1)
+    # Every lo that follows keeps flo's sign, so flo is not updated.
+    if pair:
+        lo, hi = (right, hi) if (f_left > 0.0) == (flo > 0.0) else (lo, left)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             if hi - lo > 16 * tol:
                 raise ConvergenceError("root bracket stagnated before reaching tol")
             break
-        falsi = (lo * fhi - hi * flo) / (fhi - flo)
-        toward_mid = math.copysign(1.0, mid - falsi)
-        delta = max(kappa1 * (hi - lo) ** 2, 0.5 * tol)
-        x = falsi + toward_mid * delta if delta <= abs(mid - falsi) else mid
-        r = r_max - 0.5 * (hi - lo)
-        if abs(x - mid) > r:
-            x = mid - toward_mid * r
-        if not lo < x < hi:
-            # delta or r below the float spacing of the ends: x rounded onto one.
-            x = mid
-        fx = f_signed(x)
+        fx = f_signed(mid)
         if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        r_max *= 0.5
+            return mid
+        lo, hi = (mid, hi) if (fx > 0.0) == (flo > 0.0) else (lo, mid)
     return 0.5 * (lo + hi)
-
-
-def root_bracket(bracket, tol):
-    """``bracket`` as floats (lo, hi), once tol is finite and > 0 and lo <= hi.
-
-    These are :func:`find_root`'s argument checks; each failure raises
-    ValueError.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not lo <= hi:
-        raise ValueError(f"bracket ({lo:.6g}, {hi:.6g}) must have lo <= hi")
-    return lo, hi
 
 
 def count_function_zeros(coeffs):

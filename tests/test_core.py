@@ -556,11 +556,12 @@ def test_find_root_takes_infinities_as_signs(f):
     ids=["step", "power-11"],
 )
 def test_find_root_worst_case_evaluations(f):
-    # Bisection takes 2 + ceil(log2(1e10)) = 36 evaluations here; ITP may
-    # take one more (n0 = 1) plus one for round-off in the last width.
+    # The root is 0.2 off the centre: 2 evaluations at the centre pair, 2 at
+    # the bracket's ends, then ceil(log2(0.5 / 1e-10)) = 33 halvings of the
+    # side below the pair.
     g, calls = _counting(f)
     assert abs(core.find_root(g, (0.0, 1.0), 1e-10) - 0.3) <= 1e-10
-    assert len(calls) <= 38
+    assert len(calls) == 37
     assert all(0.0 <= x <= 1.0 for x in calls)
 
 
@@ -577,10 +578,21 @@ def test_find_root_stagnation_below_float_spacing():
 
 def test_find_root_never_repeats_an_evaluation():
     # tol sits below the float spacing near the root (1.4e-14 at 71.5): the
-    # ITP point then rounds onto a bracket end, and evaluating it again
-    # would gain nothing; the midpoint is taken instead.
+    # centre pair rounds to one point and is skipped, and bisection stops
+    # when its midpoint would round onto a bracket end already evaluated.
     root = 71.50734860858427
     g, calls = _counting(lambda x: x - root)
     found = core.find_root(g, (70.5202750194906, 72.27640334453717), 1.1268363044630312e-14)
     assert abs(found - root) <= 2e-14
     assert len(calls) == len(set(calls))
+
+
+def test_find_root_skips_a_centre_pair_on_a_bracket_end():
+    # Three float spacings wide at tol 2.5 spacings, the pair around the
+    # centre rounds to (1 + u, 1 + 3u): its right end is hi, and a pair
+    # without a sign change would send hi to be evaluated a second time.
+    u = 2.0 ** -52
+    g, calls = _counting(lambda x: -1.0 if x <= 1.0 else 1.0)
+    found = core.find_root(g, (1.0, 1.0 + 3 * u), 2.5 * u)
+    assert 1.0 <= found <= 1.0 + 2.5 * u
+    assert calls == [1.0, 1.0 + 3 * u, 1.0 + 2 * u]

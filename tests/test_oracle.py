@@ -272,8 +272,8 @@ def _matrix_value(shoot, nu, q):
 @pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0), (9, 30.0)])
 def test_shoot_even_integrations(monkeypatch, nu, q):
     # The default bracket is centred on the matrix eigenvalue, which lies
-    # within tol/2 of the root: two integrations certify it, where ITP took 7
-    # and bisection to 1e-10 took 36.
+    # within tol/2 of the root: two integrations certify it, where an
+    # off-centre bracket of the same width takes 37.
     calls = _record_integrations(monkeypatch)
     a_shoot = mm.shoot_even(nu, q)
     assert len(calls) == 2
@@ -314,17 +314,48 @@ def test_centre_certified_by_a_sign_change_within_tol(monkeypatch, shoot, nu, q)
 @pytest.mark.parametrize("nu, q", [(3, 3.0), (5, 15.0)])
 @pytest.mark.parametrize("offset", [0.2, -0.2])
 def test_off_centre_bracket_falls_back_to_the_search(monkeypatch, shoot, nu, q, offset):
-    # A centre 0.2 from the root fails the test, and ITP searches the whole
-    # bracket; both results are midpoints of sign-changing brackets no wider
-    # than tol, so they lie within tol of each other.
+    # A centre 0.2 from the root fails the test; the shot then integrates at
+    # the bracket's ends and bisects the side of the centre pair across
+    # which the endpoint changes sign: 2 + 2 + ceil(log2(0.5 / tol)) = 37
+    # integrations.  Both results are midpoints of sign-changing brackets no
+    # wider than tol, so they lie within tol of each other.
     tol = 1e-10
     centred = shoot(nu, q, tol=tol)
     centre = _matrix_value(shoot, nu, q) + offset
+    lo, hi = centre - 0.5, centre + 0.5
     calls = _record_integrations(monkeypatch)
-    found = shoot(nu, q, bracket=(centre - 0.5, centre + 0.5), tol=tol)
+    found = shoot(nu, q, bracket=(lo, hi), tol=tol)
+    monkeypatch.undo()
     assert len(calls) > 4
-    assert calls[2:4] == [centre - 0.5, centre + 0.5]
+    assert calls[2:4] == [lo, hi]
     assert abs(found - centred) <= tol
+    assert len(calls) == 37
+    assert len(set(calls)) == len(calls)
+    left, right = calls[:2]
+    if _endpoint(shoot, lo, q) * _endpoint(shoot, left, q) < 0.0:
+        side = (lo, left)
+    else:
+        assert _endpoint(shoot, right, q) * _endpoint(shoot, hi, q) < 0.0
+        side = (right, hi)
+    assert side == ((lo, left) if offset > 0.0 else (right, hi))
+    assert all(side[0] < a < side[1] for a in calls[4:])
+
+
+@pytest.mark.parametrize("shoot", [mm.shoot_even, mm.shoot_odd])
+@pytest.mark.parametrize("bracket", ["centred", "off-centre", "narrower-than-tol"])
+def test_shot_returns_a_python_float(monkeypatch, shoot, bracket):
+    # The search once returned numpy.float64 off the centre, where its
+    # points were computed from the endpoint values, and float elsewhere.
+    # The narrow bracket is the interval a centred shot certified.
+    a = _matrix_value(shoot, 3, 3.0)
+    calls = _record_integrations(monkeypatch)
+    shoot(3, 3.0, tol=1e-10)
+    brackets = {
+        "centred": None,
+        "off-centre": (a - 0.3, a + 0.7),
+        "narrower-than-tol": tuple(calls),
+    }
+    assert type(shoot(3, 3.0, bracket=brackets[bracket], tol=1e-10)) is float
 
 
 def test_bracket_narrower_than_tol_skips_the_centre_test(monkeypatch):
