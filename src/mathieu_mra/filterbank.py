@@ -90,6 +90,8 @@ def build(params, sol, threshold):
     ConvergenceError when ce0 is within round-off of 0 (large q).
     """
     _check_pair(params, sol)
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     nu = params.nu
@@ -162,8 +164,10 @@ def transfer_G(params, sol, omega):
 def magnitude_G_via_se(params, omega, sol_even=None, sol_odd=None):
     """|detail transfer| through the odd solution at reversed intensity.
 
-    Evaluates |se_nu(w/2, -q)| / ce_nu(0, q), an independent route to
-    |transfer_G| that exercises the odd-kind eigensolve.
+    Evaluates |se_nu(w/2, -q)| / ce_nu(0, q).  solve_odd at -q returns
+    solve_even's a at q and its coefficients with alternating signs, bit for
+    bit, so this checks the reflection identity se_nu(w/2, -q) =
+    (-1)^((nu-1)/2) ce_nu(pi/2 - w/2, q), not an independent eigensolve.
     """
     if sol_even is None:
         sol_even = solve_even(params)

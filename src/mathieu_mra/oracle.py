@@ -74,9 +74,8 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187
 _BLOCK = 2048
 # Steps multiplied in sequence within each chunk of the two-level scan.
 _CHUNK = 8
-# StepSizeError's search for a passing step gives up beyond this many steps,
-# which bounds its trial runs' memory to ~16 MB.
-_HINT_MAX_STEPS = 1 << 20
+# Largest embedded error estimate a step may have before integrate refuses it.
+MAX_LOCAL_ERROR = 1e-9
 
 
 class StepSizeError(ConvergenceError):
@@ -100,53 +99,45 @@ class Trajectory:
         self.yprime.setflags(write=False)
 
 
-def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP, max_local_error=1e-9):
+def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP):
     """Fixed-step 5th-order Runge-Kutta solution from z=0 to z_end.
 
     Deterministic: the step count is round(z_end/step) and the actual step
     z_end/n is stored on the returned trajectory.  Raises
     :class:`StepSizeError` if the embedded error estimate of any step
-    exceeds ``max_local_error``.  Its message names a step at which a whole
-    run passes or, where the trial runs that look for one would need over
-    ``_HINT_MAX_STEPS`` steps, says that the estimated step was not tried,
-    as for shots at (nu, q) = (1, 400) and (15, 900), whose local error
-    stays at 1.0-1.2e-9 whatever the step (57-58 trial runs, 1-2 s).  Raises
+    exceeds ``MAX_LOCAL_ERROR``; its message names the step, the first
+    refused error and the bound, and no other step is tried.  Raises
     :class:`ConvergenceError` if the trajectory becomes non-finite, and
     ValueError naming the argument, before any work, if a, q, y0, yprime0,
-    z_end or step is not finite or max_local_error is NaN.
+    z_end or step is not finite.
     """
     for name, value in (
         ("a", a), ("q", q), ("y0", y0), ("yprime0", yprime0), ("z_end", z_end), ("step", step)
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if math.isnan(max_local_error):
-        raise ValueError("max_local_error must not be NaN")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if z_end <= 0.0:
         raise ValueError("z_end must be positive")
     n = max(1, round(z_end / step))
     h = z_end / n
-    x, err = _march(a, q, y0, yprime0, h, n, max_local_error)
+    x, err = _march(a, q, y0, yprime0, h, n)
     if x is None:
         raise StepSizeError(
-            f"step {h:.6g} too large: local error "
-            f"{_shortest(err, lambda e: e > max_local_error)} exceeds "
-            f"{max_local_error:.3e}; "
-            + _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error)
+            f"step {h:.6g} too large: local error {_shortest(err)} exceeds {MAX_LOCAL_ERROR:.3e}"
         )
     if not np.all(np.isfinite(x)):
         raise ConvergenceError("trajectory blew up (non-finite samples)")
     return Trajectory(np.linspace(0.0, z_end, n + 1), x[0], x[1], float(a), float(q), h)
 
 
-def _march(a, q, y0, yprime0, h, n, max_local_error):
+def _march(a, q, y0, yprime0, h, n):
     """States (y, y') after each of n steps of size h, block by block.
 
     Returns ``(x, None)`` with ``x`` of shape (2, n+1), or ``(None, err)``
     with the error estimate of the first step (in step order) whose estimate
-    exceeds ``max_local_error``; no block after that step is computed.  A
+    exceeds ``MAX_LOCAL_ERROR``; no block after that step is computed.  A
     non-finite estimate means the trajectory has blown up and raises
     :class:`ConvergenceError`.  Overflow inside the step matrices is expected
     on such input and is not warned about.  Each block runs in
@@ -159,7 +150,7 @@ def _march(a, q, y0, yprime0, h, n, max_local_error):
     scratch = np.empty((2, 2, min(_BLOCK, n)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n, _BLOCK):
-            err = _block(a, q, h, x, i0, min(_BLOCK, n - i0), scratch, max_local_error)
+            err = _block(a, q, h, x, i0, min(_BLOCK, n - i0), scratch)
             if err is not None:
                 if not math.isfinite(err):
                     raise ConvergenceError("trajectory blew up (non-finite samples)")
@@ -167,11 +158,11 @@ def _march(a, q, y0, yprime0, h, n, max_local_error):
     return x, None
 
 
-def _block(a, q, h, x, i0, nb, scratch, max_local_error):
+def _block(a, q, h, x, i0, nb, scratch):
     """Writes the states after steps i0 .. i0+nb-1 into x[:, i0+1 : i0+nb+1].
 
     Returns the error estimate of the first of these steps whose estimate
-    exceeds ``max_local_error``, or None.  States and estimates are computed
+    exceeds ``MAX_LOCAL_ERROR``, or None.  States and estimates are computed
     into x and ``scratch``, as (start + Q[:, 0] y) + Q[:, 1] y' and
     D[:, 0] y + D[:, 1] y' at the state before each step.
     """
@@ -187,7 +178,7 @@ def _block(a, q, h, x, i0, nb, scratch, max_local_error):
     np.multiply(D[:, 0], before[0], out=e)
     e += np.multiply(D[:, 1], before[1], out=t)
     err = np.maximum(np.abs(e[0], out=e[0]), np.abs(e[1], out=e[1]), out=e[0])
-    passed = err <= max_local_error
+    passed = err <= MAX_LOCAL_ERROR
     return None if passed.all() else float(err[np.argmin(passed)])
 
 
@@ -276,36 +267,13 @@ def _prefix_products(E):
     return steps.reshape(2, 2, -1)[..., :m]
 
 
-def _sufficient_step(a, q, y0, yprime0, z_end, n, err, max_local_error):
-    """Message naming a step at which a whole run passes.
-
-    Starts from the 5th-order estimate h (max_local_error/err)^(1/5) and,
-    while a run is still refused, shrinks the step from that run's error.
-    Every trial takes more steps than the refused run before it, so the
-    search ends; it gives up beyond _HINT_MAX_STEPS steps.
-    """
-    candidate = (z_end / n) * (max_local_error / err) ** 0.2
-    while True:
-        if candidate * _HINT_MAX_STEPS < z_end:
-            return (
-                f"estimated step {candidate:.3e} needs over {_HINT_MAX_STEPS} steps "
-                "and was not tried"
-            )
-        n = max(n + 1, round(z_end / candidate))
-        x, err = _march(a, q, y0, yprime0, z_end / n, n, max_local_error)
-        if x is not None:
-            # printed so that integrate gets n steps back from it
-            return f"use step <= {_shortest(z_end / n, lambda step: round(z_end / step) == n)}"
-        candidate = 0.9 * (z_end / n) * (max_local_error / err) ** 0.2
-
-
-def _shortest(value, reads_right):
-    """value printed with the fewest significant digits, at least 4, whose
-    text read back satisfies ``reads_right``."""
+def _shortest(err):
+    """err printed with the fewest significant digits, at least 4, whose
+    text reads back above ``MAX_LOCAL_ERROR``."""
     digits = 3
-    while not reads_right(float(f"{value:.{digits}e}")):
+    while not float(f"{err:.{digits}e}") > MAX_LOCAL_ERROR:
         digits += 1
-    return f"{value:.{digits}e}"
+    return f"{err:.{digits}e}"
 
 
 def shoot_even(nu, q, bracket=None, tol=1e-10, step=DEFAULT_STEP):

@@ -27,7 +27,7 @@ _REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 21
 
 # The scalar Dormand-Prince loop: pins oracle.integrate's states to 1e-12 of
 # max |y|, and which steps it refuses.
-def integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_local_error=1e-9):
+def integrate(a, q, y0, yprime0, z_end, step=mm.DEFAULT_STEP, max_local_error=oracle.MAX_LOCAL_ERROR):
     """(ys, yps) from the scalar loop; raises StepSizeError like ``integrate``."""
     n = max(1, round(z_end / step))
     h = z_end / n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mathieu_mra as mm
+from mathieu_mra.cli import main
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
 
@@ -50,6 +51,15 @@ def test_build_rejects_bad_inputs():
         mm.build(params, sol, -1.0)
     with pytest.raises(ValueError):
         mm.build(params, sol, 1.0)  # nothing survives
+
+
+def test_build_refuses_a_nan_threshold_by_name(capsys):
+    # NaN once passed the sign check and read as "threshold too large".
+    params, sol = _pair(3, 3.0)
+    with pytest.raises(ValueError, match="^threshold must not be NaN$"):
+        mm.build(params, sol, math.nan)
+    assert main(["filters", "--nu", "3", "--q", "3", "--threshold", "nan"]) == 2
+    assert capsys.readouterr().err == "error: threshold must not be NaN\n"
 
 
 @pytest.mark.parametrize("q,builds", [(200.0, True), (250.0, True), (300.0, False), (450.0, False)])

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 import mathieu_mra as mm
 import reference
-from mathieu_mra import oracle
+from mathieu_mra import cli, oracle
 
 A_REF_3_3 = 9.915506290452134
 A_REF_5_15 = 31.957821252172874
@@ -121,8 +120,8 @@ def test_block_functions_match_references_bit_for_bit(a, q, h, n):
         assert reference.bit_equal(E, E_ref) and reference.bit_equal(D, D_ref)
         assert reference.bit_equal(oracle._prefix_products(E), reference.prefix_products(E))
     for y0, yprime0 in [(1.0, 0.0), (0.0, 1.0)]:
-        x, err = oracle._march(a, q, y0, yprime0, h, n, 1e-9)
-        x_ref, err_ref = reference.march(a, q, y0, yprime0, h, n, 1e-9)
+        x, err = oracle._march(a, q, y0, yprime0, h, n)
+        x_ref, err_ref = reference.march(a, q, y0, yprime0, h, n, oracle.MAX_LOCAL_ERROR)
         assert err == err_ref
         assert (x is None and x_ref is None) or reference.bit_equal(x, x_ref)
 
@@ -153,34 +152,48 @@ def test_step_refusal_matches_scalar_reference(a, q, step):
     assert refused(mm.integrate) == refused(reference.integrate)
 
 
-def test_step_refusal_reports_requirement():
-    # The suggested step must itself pass a whole run.
-    for a, step in [(400.0, 0.5), (400.0, 0.2), (2000.0, 0.1), (100.0, 0.3)]:
-        with pytest.raises(mm.StepSizeError, match="use step") as info:
-            mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=step)
-        suggested = float(re.search(r"use step <= (\S+)$", str(info.value)).group(1))
-        assert suggested < step
-        mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=suggested)
+def _record_marches(monkeypatch):
+    """The step count of every march run from now on."""
+    calls = []
+    march = oracle._march
+
+    def recorded(*args):
+        calls.append(args[5])
+        return march(*args)
+
+    monkeypatch.setattr(oracle, "_march", recorded)
+    return calls
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("margin", [1.2, 2.0])
-def test_step_refusal_hint_refines_few_step_runs(n, margin):
-    # Just over the bound, the 5th-order estimate rounds back to the refused
-    # step count; the search must still take more steps, and end.
-    h = 0.05
-    _, err = oracle._march(400.0, 0.0, 1.0, 0.0, h, 1, 0.0)
-    tol = err / margin
-    with pytest.raises(mm.StepSizeError, match="use step") as info:
-        mm.integrate(400.0, 0.0, 1.0, 0.0, n * h, step=h, max_local_error=tol)
-    suggested = float(re.search(r"use step <= (\S+)$", str(info.value)).group(1))
-    assert suggested < h
-    mm.integrate(400.0, 0.0, 1.0, 0.0, n * h, step=suggested, max_local_error=tol)
+@pytest.mark.parametrize(
+    "a, step, message",
+    [
+        (400.0, 0.5, "step 0.523599 too large: local error 9.473e+03 exceeds 1.000e-09"),
+        (400.0, 0.2, "step 0.19635 too large: local error 3.096e+00 exceeds 1.000e-09"),
+        (2000.0, 0.1, "step 0.101342 too large: local error 4.063e+00 exceeds 1.000e-09"),
+        (100.0, 0.3, "step 0.314159 too large: local error 1.215e+00 exceeds 1.000e-09"),
+    ],
+)
+def test_step_refusal_reports_requirement(monkeypatch, a, step, message):
+    # The message names the step, the error read back above the bound and
+    # the bound, and the refused march is the only one.
+    calls = _record_marches(monkeypatch)
+    with pytest.raises(mm.StepSizeError) as info:
+        mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=step)
+    assert str(info.value) == message
+    assert float(message.split()[6]) > oracle.MAX_LOCAL_ERROR
+    assert float(message.split()[-1]) == oracle.MAX_LOCAL_ERROR
+    assert calls == [round(math.pi / step)]
 
 
-def test_step_refusal_hint_gives_up_on_unreachable_tolerance():
-    with pytest.raises(mm.StepSizeError, match="was not tried"):
-        mm.integrate(1.0, 0.0, 1.0, 0.0, math.pi, step=0.5, max_local_error=1e-40)
+@pytest.mark.parametrize("nu, q", [(1, "400"), (15, "900"), (1, "-375")])
+def test_refused_validate_marches_once(monkeypatch, capsys, nu, q):
+    # The shot's first integration is refused and nothing looks for a step
+    # that would pass.
+    calls = _record_marches(monkeypatch)
+    assert cli.main(["validate", "--nu", str(nu), "--q", q]) == 3
+    assert "too large" in capsys.readouterr().err
+    assert calls == [round(math.pi / 2 / mm.DEFAULT_STEP)]
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 1e300])
@@ -209,13 +222,6 @@ def test_integrate_refuses_non_finite_arguments_before_any_work(monkeypatch, nam
     args[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         mm.integrate(**args)
-
-
-def test_integrate_refuses_a_nan_error_bound(monkeypatch):
-    # Every step would be refused, and no error reads above a NaN bound.
-    monkeypatch.setattr(oracle, "_march", _no_march)
-    with pytest.raises(ValueError, match="max_local_error must not be NaN"):
-        mm.integrate(1.0, 0.0, 1.0, 0.0, math.pi, max_local_error=math.nan)
 
 
 def test_invalid_arguments():
