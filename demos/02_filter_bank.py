@@ -52,7 +52,7 @@ print(f"  H(0)  = {mm.transfer_H(p33, s33, 0.0):+.3f}     |H(pi)| = "
 print(f"  |G(0)| = {abs(mm.transfer_G(p33, s33, 0.0)):.2e}  |G(pi)| = "
       f"{abs(mm.transfer_G(p33, s33, math.pi)):.3f}")
 via_se = mm.magnitude_G_via_se(p33, math.pi / 2)
-print(f"  |G(pi/2)| via the odd solution at -q: {via_se:.12f} "
+print(f"  |G(pi/2)| via se at -q (ce's eigenvector, reflected): {via_se:.12f} "
       f"(direct: {abs(mm.transfer_G(p33, s33, math.pi / 2)):.12f})")
 
 print("\n" + "=" * 72)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvergenceError
-from .filterbank import SQRT2, dtft, tap_arrays
+from .filterbank import SQRT2, tap_arrays
 
 __all__ = ["CascadeOutput", "run", "refinement_residual", "two_scale_residual"]
 
@@ -121,10 +121,11 @@ def run(bank, iterations, level):
         raise ValueError("level must be >= iterations")
     v, start = np.ones(1), 0  # the impulse the first pass refines
     sup_prev = 1.0
-    for nxt, nxt_start in _refine(bank, iterations, v, start):
+    for d, (nxt, nxt_start) in enumerate(_refine(bank, iterations, v, start), 1):
         sup = float(np.max(np.abs(nxt)))
         if sup > 10.0 * sup_prev:
-            raise ConvergenceError("cascade diverging: is the bank normalised?")
+            raise ConvergenceError(f"cascade diverging: max|iterate| grew from {sup_prev:.3g} "
+                                   f"to {sup:.3g} in pass {d}, over the 10x limit")
         prev, prev_start, v, start, sup_prev = v, start, nxt, nxt_start, sup
     # delta: the final iterate against the one before it, on the coarser grid
     # (previous index p sits at new index 2p)
@@ -173,7 +174,7 @@ def refinement_residual(out, bank):
     return float(np.max(np.abs(out.phi - acc)))
 
 
-def two_scale_residual(bank, transfer, iterations, n_freq=64):
+def two_scale_residual(bank, transfer, iterations):
     """Frequency-domain refinement check between consecutive cascade iterates.
 
     With Phi_d the quasi-Fourier transform of the depth-d iterate
@@ -184,8 +185,8 @@ def two_scale_residual(bank, transfer, iterations, n_freq=64):
     it stays at rounding level for the untruncated two-tap q=0 bank and is
     reported for truncated banks.
 
-    Returns the max residual over ``n_freq`` frequencies spanning one full
-    period of the transfer argument.
+    Returns the max residual over 64 frequencies spanning one full period
+    of the transfer argument.
     """
     if not bank.sign_corrected:
         raise ValueError("two_scale_residual expects a sign-corrected bank")
@@ -194,7 +195,7 @@ def two_scale_residual(bank, transfer, iterations, n_freq=64):
     (v_prev, s_prev), (v_last, s_last) = deque(_refine(bank, iterations, np.ones(1), 0), maxlen=2)
     d_prev, d_last = iterations - 1, iterations
 
-    u = 2.0 * math.pi * np.arange(n_freq) / n_freq  # transfer argument
+    u = 2.0 * math.pi * np.arange(64) / 64  # transfer argument
     omega = u * 2.0 ** d_last
 
     def quasi_ft(vals, s, depth):
@@ -206,8 +207,3 @@ def two_scale_residual(bank, transfer, iterations, n_freq=64):
     lhs = quasi_ft(v_last, s_last, d_last)
     rhs = transfer(u) * quasi_ft(v_prev, s_prev, d_prev)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def dtft_transfer(bank):
-    """Tap-DTFT of the bank's smoothing filter as a callable (for two_scale_residual)."""
-    return lambda u: dtft(bank.h, u)

@@ -14,7 +14,7 @@ from . import cascade as cascade_mod
 from . import filterbank as fb
 from . import transform as tf
 from .core import ConvergenceError, MathieuParams, count_zeros, solve_even, value_at_zero
-from .oracle import DEFAULT_STEP, compare, integrate, shoot_even
+from .oracle import compare, integrate, shoot_even
 
 
 def _fmt(x):
@@ -165,8 +165,8 @@ def _cmd_idwt(args):
 def _cmd_validate(args):
     params, sol = _prepare(args)
     tol = 1e-10
-    a_shoot = shoot_even(params.nu, params.q, bracket=(sol.a - 0.5, sol.a + 0.5), tol=tol)
-    traj = integrate(sol.a, params.q, 1.0, 0.0, math.pi, step=DEFAULT_STEP)
+    a_shoot = shoot_even(params.nu, params.q, tol=tol)
+    traj = integrate(sol.a, params.q, 1.0, 0.0, math.pi)
     # Relative: the solution's amplitude, not the oracle, sets the absolute gap.
     sup_err = compare(sol, traj) / np.max(np.abs(traj.y))
     grid = fb.qmf_report(params, sol, args.samples)

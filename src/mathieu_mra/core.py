@@ -7,15 +7,15 @@ The even (cosine) and odd (sine) 2*pi-periodic solutions of
 of odd order nu are expanded in odd harmonics, y = sum_m c_m cos(m x) or
 sum_m c_m sin(m x) with m = 1, 3, 5, ...  The three-term recurrence among
 the harmonic coefficients is a symmetric tridiagonal operator, so the
-characteristic value a_nu(q) (resp. b_nu(q)) and the coefficient vector
-come out of one symmetric eigensolve, ``numpy.linalg.eigh`` on the dense
-operator.  Its Householder reduction leaves tridiagonal input unchanged,
-and it ends in the same divide-and-conquer LAPACK solver (?stedc) as a
-tridiagonal solve.  One solve per harmonic count: the count doubles until
-the eigenvector's last coefficient has decayed below ``TAIL_DECAY`` of its
-largest, which alone bounds the eigenvalue's truncation error.  The numbers
-of the last few solves are cached per (kind, nu, q), -0.0 and 0.0 apart;
-every call still returns its own EigenSolution.
+characteristic value a_nu(q) and the coefficient vector come out of one
+symmetric eigensolve, ``numpy.linalg.eigh`` on the dense operator.  Its
+Householder reduction leaves tridiagonal input unchanged, and it ends in the
+same divide-and-conquer LAPACK solver (?stedc) as a tridiagonal solve.  One
+solve per harmonic count: the count doubles until the eigenvector's last
+coefficient has decayed below ``TAIL_DECAY`` of its largest, which alone
+bounds the eigenvalue's truncation error.  The odd kind, b_nu(q) = a_nu(-q),
+is that solve at -q.  The numbers of the last few solves are cached per
+(nu, q), -0.0 and 0.0 apart; every call still returns its own EigenSolution.
 
 The series are summed by Clenshaw's recurrence on the odd Chebyshev series
 they equal, in one plain loop for scalars and arrays that gives bit for
@@ -43,8 +43,7 @@ class ConvergenceError(RuntimeError):
 class MathieuParams:
     """Parameter pair: odd characteristic exponent nu and intensity q.
 
-    Negative q is accepted (the odd-kind solve at -q is needed downstream
-    for the detail-filter magnitude identity).
+    Negative q is accepted; the odd kind at q is solved at -q.
     """
 
     nu: int
@@ -101,32 +100,29 @@ def _initial_order(nu, q):
     return max(25, nu + math.ceil(2.0 * math.sqrt(abs(q))) + 10)
 
 
-def _solve(kind, params):
-    q = float(params.q)
-    a, vec = _eigenpair(kind, params.nu, q, math.copysign(1.0, q))
-    return EigenSolution(kind, params.nu, q, a, vec)
+def _cap_refusal(nu, q):
+    return ConvergenceError(
+        f"eigensolve did not converge below {MAX_HARMONICS} harmonics (nu={nu}, q={q})"
+    )
 
 
 @lru_cache(maxsize=4)
-def _eigenpair(kind, nu, q, q_sign):
-    """(a, coeffs) of one solve, the coefficients read-only.
+def _eigenpair(nu, q, q_sign):
+    """(a_nu(q), coeffs) of the even-kind operator, the coefficients read-only.
 
-    Cached for the last few designs, so a shot after the design's own solve
-    (``shoot_even(nu, q)`` without a bracket) does not solve it again;
-    ``q_sign`` keys the cache only, as -0.0 and 0.0 hash alike.  A refused
-    solve raises ConvergenceError and is not cached.
+    Both kinds' one eigensolve, cached for the last few designs, so a shot
+    after the design's own solve does not solve it again, nor solve_odd at
+    -q after solve_even at q; ``q_sign`` keys the cache only, as -0.0 and 0.0
+    hash alike.  A refused solve raises ConvergenceError and is not cached.
     """
     index = (nu - 1) // 2
     n = 2 * _initial_order(nu, q)
     while True:
         if n > MAX_HARMONICS:
-            raise ConvergenceError(
-                f"eigensolve did not converge below {MAX_HARMONICS} harmonics "
-                f"(nu={nu}, q={q})"
-            )
+            raise _cap_refusal(nu, q)
         m = 2.0 * np.arange(n) + 1.0
         op = np.diag(m * m)
-        op[0, 0] += q if kind == "even-ce" else -q
+        op[0, 0] += q
         op[np.arange(1, n), np.arange(n - 1)] = q  # eigh reads the lower triangle
         w, v = np.linalg.eigh(op)
         a = float(w[index])
@@ -136,9 +132,9 @@ def _eigenpair(kind, nu, q, q_sign):
         if abs(vec[-1]) < TAIL_DECAY * np.max(np.abs(vec)):
             break
         n *= 2
-    # The value (even kind) or slope (odd kind) at 0, summed exactly as
-    # value_at_zero and slope_at_zero sum it, so their sign is the one fixed here.
-    if _series("even-ce", vec if kind == "even-ce" else m * vec, 0.0) < 0:
+    # The value at 0, summed exactly as value_at_zero sums it, so its sign
+    # is the one fixed here.
+    if _series("even-ce", vec, 0.0) < 0:
         vec = -vec
     vec.setflags(write=False)
     return a, vec
@@ -154,17 +150,28 @@ def solve_even(params):
     is below ``TAIL_DECAY`` (1e-14) of the largest; ConvergenceError past
     ``MAX_HARMONICS``.
     """
-    return _solve("even-ce", params)
+    q = float(params.q)
+    a, vec = _eigenpair(params.nu, q, math.copysign(1.0, q))
+    return EigenSolution("even-ce", params.nu, q, a, vec)
 
 
 def solve_odd(params):
     """Odd 2*pi-periodic solution of order nu: b_nu(q) and sine coefficients.
 
-    Same operator as :func:`solve_even` except the first diagonal entry is
-    (1 - q), the sign flip the sine series produces in its first recurrence
-    row.
+    The sine recurrence at q is the cosine one at -q with alternating signs
+    (DLMF 28.2(vi)), so b_nu(q) is :func:`solve_even`'s a at -q, from the
+    same cache entry, and coefficient k is its coefficient k times (-1)^k,
+    the global sign fixed so that :func:`slope_at_zero` is positive.
     """
-    return _solve("odd-se", params)
+    q = float(params.q)
+    try:
+        a, vec = _eigenpair(params.nu, -q, math.copysign(1.0, -q))
+    except ConvergenceError:
+        raise _cap_refusal(params.nu, q) from None  # the caller's q, not -q
+    sol = EigenSolution("odd-se", params.nu, q, a, np.resize([1.0, -1.0], len(vec)) * vec)
+    if slope_at_zero(sol) < 0:
+        sol = EigenSolution("odd-se", params.nu, q, a, -sol.coeffs)
+    return sol
 
 
 def _chebyshev(coeffs):

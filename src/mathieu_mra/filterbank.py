@@ -161,22 +161,17 @@ def transfer_G(params, sol, omega):
     return complex(val) if np.ndim(omega) == 0 else val
 
 
-def magnitude_G_via_se(params, omega, sol_even=None, sol_odd=None):
+def magnitude_G_via_se(params, omega):
     """|detail transfer| through the odd solution at reversed intensity.
 
-    Evaluates |se_nu(w/2, -q)| / ce_nu(0, q).  solve_odd at -q returns
-    solve_even's a at q and its coefficients with alternating signs, bit for
-    bit, so this checks the reflection identity se_nu(w/2, -q) =
-    (-1)^((nu-1)/2) ce_nu(pi/2 - w/2, q), not an independent eigensolve.
+    |se_nu(w/2, -q)| / ce_nu(0, q) from one eigenvector: solve_odd at -q is
+    solve_even at q with coefficient k times (-1)^k, which the series' sine
+    branch takes back to sum on T_{2k+1}(sin(w/2)).  This checks the identity
+    se_nu(w/2, -q) = (-1)^((nu-1)/2) ce_nu(pi/2 - w/2, q), no second solve.
     """
-    if sol_even is None:
-        sol_even = solve_even(params)
-    if sol_odd is None:
-        sol_odd = solve_odd(MathieuParams(params.nu, -params.q))
-    _check_pair(params, sol_even)
-    ce0 = value_at_zero(sol_even)
+    ce0 = value_at_zero(solve_even(params))
     om = np.asarray(omega, dtype=float)
-    val = np.abs(evaluate(sol_odd, om / 2.0)) / ce0
+    val = np.abs(evaluate(solve_odd(MathieuParams(params.nu, -params.q)), om / 2.0)) / ce0
     return float(val) if np.ndim(omega) == 0 else val
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 import mathieu_mra as mm
-from mathieu_mra import oracle
+from mathieu_mra import core, oracle
 
 _REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _REF_A = (
@@ -140,6 +140,31 @@ def series(kind, coeffs, x):
         f[1::2] = np.resize([1.0, -1.0], len(coeffs)) * coeffs
         vals = chebyshev.chebval(np.sin(x), f)
     return float(vals) if np.ndim(x) == 0 else vals
+
+
+# core's odd-kind solve before it was read off the even-kind solve at -q:
+# its own operator, first diagonal entry 1 - q, and the sign fixed by the
+# slope at 0.  Pins solve_odd's a and truncation order bit for bit, its
+# coefficients in value and its nonzero coefficients bit for bit.
+def solve_odd(nu, q):
+    """(a, coeffs) of the direct odd-kind dense solve."""
+    index = (nu - 1) // 2
+    n = 2 * core._initial_order(nu, q)
+    while True:
+        assert n <= core.MAX_HARMONICS
+        m = 2.0 * np.arange(n) + 1.0
+        op = np.diag(m * m)
+        op[0, 0] += -q
+        op[np.arange(1, n), np.arange(n - 1)] = q
+        w, v = np.linalg.eigh(op)
+        a = float(w[index])
+        vec = v[:, index].copy()
+        if abs(vec[-1]) < core.TAIL_DECAY * np.max(np.abs(vec)):
+            break
+        n *= 2
+    if core._series("even-ce", m * vec, 0.0) < 0:
+        vec = -vec
+    return a, vec
 
 
 # What "bit for bit" means above: same type and shape, equal values (NaN

@@ -217,10 +217,13 @@ def test_validate_sup_error_relative_to_amplitude(tmp_path):
 def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
     # The trajectory comparison evaluates the series once on 4097 points and
     # qmf_report once for H and G together; the printed phase-pairing residual
-    # is qmf_report's, and the shooting bracket comes from the CLI's eigensolve.
-    from mathieu_mra import filterbank, oracle
+    # is qmf_report's, and the shooting bracket's solve is a hit on the CLI's
+    # own cache entry: one eigensolve in all.
+    from mathieu_mra import core, filterbank, oracle
 
     sizes = []
+    solves = []
+    eigh = np.linalg.eigh
 
     def recording(evaluate):
         def wrapped(sol, x):
@@ -228,14 +231,33 @@ def test_validate_reuses_eigensolve_and_spectrum(tmp_path, monkeypatch):
             return evaluate(sol, x)
         return wrapped
 
-    def no_solve(params):
-        raise AssertionError("shoot_even solved the eigenproblem again")
+    def counting(op):
+        solves.append(len(op))
+        return eigh(op)
 
     monkeypatch.setattr(filterbank, "evaluate", recording(filterbank.evaluate))
     monkeypatch.setattr(oracle, "evaluate", recording(oracle.evaluate))
-    monkeypatch.setattr(oracle, "solve_even", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    core._eigenpair.cache_clear()
     assert run_cli("validate", "--nu", "3", "--q", "3", "--output", str(tmp_path / "v")) == 0
     assert sizes == [4097, 2048]
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "nu, q, status, err",
+    [
+        ("1", "50", 3, "error: cascade diverging: max|iterate| grew from 1 to 1.66e+04 "
+                       "in pass 1, over the 10x limit\n"),
+        ("3", "3", 0, ""),
+    ],
+)
+def test_cascade_divergence_line(tmp_path, capsys, nu, q, status, err):
+    # At (1,50) the bank is normalised (sum h / sqrt2 = 1.0000000001), yet the
+    # first pass takes max|iterate| from 1 to 1.66e4; (3,3) converges.
+    assert run_cli("cascade", "--nu", nu, "--q", q, "--iterations", "10",
+                   "--output", str(tmp_path / "c")) == status
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(

@@ -387,21 +387,51 @@ def test_cached_solve_is_a_fresh_solution_bit_equal_to_a_cold_one():
 
 
 @pytest.mark.parametrize(
-    "first, second",
+    "first, second, hits",
     [
-        ((mm.solve_even, 0.0), (mm.solve_even, -0.0)),
-        ((mm.solve_even, -0.0), (mm.solve_even, 0.0)),
-        ((mm.solve_even, 3.0), (mm.solve_odd, 3.0)),
+        ((mm.solve_even, 0.0), (mm.solve_even, -0.0), 0),
+        ((mm.solve_even, -0.0), (mm.solve_even, 0.0), 0),
+        ((mm.solve_even, 3.0), (mm.solve_odd, 3.0), 0),
+        ((mm.solve_even, -3.0), (mm.solve_odd, 3.0), 1),
+        ((mm.solve_even, -0.0), (mm.solve_odd, 0.0), 1),
+        ((mm.solve_even, 0.0), (mm.solve_odd, -0.0), 1),
     ],
 )
-def test_solve_cache_tells_signed_zeros_and_kinds_apart(first, second):
+def test_solve_cache_tells_signed_zeros_apart_and_shares_kinds(first, second, hits):
+    # solve_odd at q reads the entry solve_even fills at -q, -0.0 and 0.0 apart:
+    # a hit runs no eigensolve.
     core._eigenpair.cache_clear()
     for solver, q in (first, second):
         sol = solver(mm.MathieuParams(1, q))
         assert math.copysign(1.0, sol.q) == math.copysign(1.0, q)
         assert sol.kind == ("even-ce" if solver is mm.solve_even else "odd-se")
     info = core._eigenpair.cache_info()
-    assert (info.hits, info.misses) == (0, 2)
+    assert (info.hits, info.misses) == (hits, 2 - hits)
+
+
+# nu 1-15 odd x q -60..60 in steps of 0.5, then +-0, +-300 and +-1000.
+REFLECTION_QS = [0.5 * k for k in range(-120, 121)] + [0.0, -0.0, 300.0, -300.0, 1000.0, -1000.0]
+REFLECTION_GRID = [(nu, q) for nu in range(1, 16, 2) for q in REFLECTION_QS]
+
+
+def test_odd_solve_matches_the_direct_odd_operator():
+    # Measured: a, the truncation order and every nonzero coefficient bit for
+    # bit; the exactly-zero tail entries may differ in sign only.
+    assert len(REFLECTION_GRID) == 1976
+    for nu, q in REFLECTION_GRID:
+        a, vec = reference.solve_odd(nu, q)
+        sol = mm.solve_odd(mm.MathieuParams(nu, q))
+        assert sol.a == a and sol.truncation_order == len(vec), (nu, q)
+        assert np.array_equal(sol.coeffs, vec), (nu, q)
+        nonzero = vec != 0.0
+        assert sol.coeffs[nonzero].tobytes() == vec[nonzero].tobytes(), (nu, q)
+
+
+@pytest.mark.parametrize("q", [3e5, -3e5])
+def test_refused_odd_solve_names_the_callers_q(q):
+    with pytest.raises(mm.ConvergenceError) as info:
+        mm.solve_odd(mm.MathieuParams(1, q))
+    assert str(info.value) == f"eigensolve did not converge below 2048 harmonics (nu=1, q={q})"
 
 
 def test_refused_solve_is_not_cached(monkeypatch):

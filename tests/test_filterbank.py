@@ -165,6 +165,21 @@ def test_detail_magnitude_via_odd_solution():
     assert via_se == pytest.approx(G_MAG_HALFPI_3_3, abs=1e-11)
 
 
+def test_detail_magnitude_via_odd_solution_runs_one_eigensolve(monkeypatch):
+    # The odd solve at -q reads the even solve's cache entry at q.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(op):
+        calls.append(len(op))
+        return eigh(op)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    mm.core._eigenpair.cache_clear()
+    mm.magnitude_G_via_se(mm.MathieuParams(3, 3.0), math.pi / 2)
+    assert len(calls) == 1
+
+
 def test_qmf_report_haar_exact():
     params, sol = _pair(1, 0.0)
     grid = mm.qmf_report(params, sol, 1024)
