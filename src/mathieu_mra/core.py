@@ -43,15 +43,17 @@ class ConvergenceError(RuntimeError):
 class MathieuParams:
     """Parameter pair: odd characteristic exponent nu and intensity q.
 
-    Negative q is accepted; the odd kind at q is solved at -q.
+    nu is a Python or numpy integer, not a bool.  Negative q is accepted;
+    the odd kind at q is solved at -q.
     """
 
     nu: int
     q: float
 
     def __post_init__(self):
-        if self.nu < 1 or self.nu % 2 == 0:
-            raise ValueError(f"nu must be odd and >= 1, got {self.nu}")
+        nu = self.nu
+        if isinstance(nu, bool) or not isinstance(nu, (int, np.integer)) or nu < 1 or nu % 2 == 0:
+            raise ValueError(f"nu must be odd and >= 1, got {nu}")
         if not math.isfinite(self.q):
             raise ValueError("q must be finite")
 
@@ -276,7 +278,8 @@ def find_root(f, bracket, tol):
     lo and hi, and bisection runs on the side of the pair where f changes
     sign (37 evaluations in all for a width-1 bracket at tol 1e-10).  The
     pair is skipped when the bracket is no wider than tol or the pair
-    rounds to one point or onto an end, which would be evaluated again.
+    rounds to one point or onto an end, which would be evaluated again, and
+    a bracket of one point is evaluated once.
     A tol that is not finite and > 0, or lo > hi, raises ValueError before
     f is evaluated; so does a NaN value of f, which has no sign.  Infinite
     values are signs like any other.
@@ -302,7 +305,8 @@ def find_root(f, bracket, tol):
         f_left, f_right = f_signed(left), f_signed(right)
         if f_left <= 0.0 <= f_right or f_right <= 0.0 <= f_left:
             return 0.5 * (left + right)
-    flo, fhi = f_signed(lo), f_signed(hi)
+    flo = f_signed(lo)
+    fhi = flo if hi == lo else f_signed(hi)
     if flo == 0.0 or fhi == 0.0:
         return lo if flo == 0.0 else hi
     if flo * fhi > 0.0:

@@ -27,10 +27,10 @@ sequential products within chunks of ``_CHUNK`` steps, all chunks at once
 on a step-major copy whose rows are contiguous, a log-depth Hillis-Steele
 scan over the chunk totals only, and one pass that applies to each chunk
 the product of the chunks before it.  Every step's error estimate is
-checked before the next block.  The cos table is cached per (q, step,
-block), so the integrations of one shot build it once; it, the stage
-matrices and the states are written into arrays made once per block,
-without per-stage or per-step temporaries.
+checked in its block, and the first refused step ends the run there.  The
+cos table is cached per (q, step, block), so the integrations of one shot
+build it once; it and the stage matrices are written into arrays made once
+per block, without per-stage or per-step temporaries.
 """
 
 import functools
@@ -122,64 +122,42 @@ def integrate(a, q, y0, yprime0, z_end, step=DEFAULT_STEP):
         raise ValueError("z_end must be positive")
     n = max(1, round(z_end / step))
     h = z_end / n
-    x, err = _march(a, q, y0, yprime0, h, n)
-    if x is None:
-        raise StepSizeError(
-            f"step {h:.6g} too large: local error {_shortest(err)} exceeds {MAX_LOCAL_ERROR:.3e}"
-        )
+    x = np.empty((2, n + 1))
+    x[:, 0] = y0, yprime0
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is refused, not warned about
+        for i0 in range(0, n, _BLOCK):
+            _block(a, q, h, x, i0, min(_BLOCK, n - i0))
     if not np.all(np.isfinite(x)):
         raise ConvergenceError("trajectory blew up (non-finite samples)")
     return Trajectory(np.linspace(0.0, z_end, n + 1), x[0], x[1], float(a), float(q), h)
 
 
-def _march(a, q, y0, yprime0, h, n):
-    """States (y, y') after each of n steps of size h, block by block.
-
-    Returns ``(x, None)`` with ``x`` of shape (2, n+1), or ``(None, err)``
-    with the error estimate of the first step (in step order) whose estimate
-    exceeds ``MAX_LOCAL_ERROR``; no block after that step is computed.  A
-    non-finite estimate means the trajectory has blown up and raises
-    :class:`ConvergenceError`.  Overflow inside the step matrices is expected
-    on such input and is not warned about.  Each block runs in
-    :func:`_block`, so one block's arrays are alive at a time and the next
-    block reuses their memory; held into the next block, they made glibc's
-    allocator return and re-fault ~170 pages per two-block run.
-    """
-    x = np.empty((2, n + 1))
-    x[:, 0] = y0, yprime0
-    scratch = np.empty((2, 2, min(_BLOCK, n)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n, _BLOCK):
-            err = _block(a, q, h, x, i0, min(_BLOCK, n - i0), scratch)
-            if err is not None:
-                if not math.isfinite(err):
-                    raise ConvergenceError("trajectory blew up (non-finite samples)")
-                return None, err
-    return x, None
-
-
-def _block(a, q, h, x, i0, nb, scratch):
+def _block(a, q, h, x, i0, nb):
     """Writes the states after steps i0 .. i0+nb-1 into x[:, i0+1 : i0+nb+1].
 
-    Returns the error estimate of the first of these steps whose estimate
-    exceeds ``MAX_LOCAL_ERROR``, or None.  States and estimates are computed
-    into x and ``scratch``, as (start + Q[:, 0] y) + Q[:, 1] y' and
-    D[:, 0] y + D[:, 1] y' at the state before each step.
+    The states are start + Q[:, 0] y + Q[:, 1] y' at the block's start
+    state and the error estimates D[:, 0] y + D[:, 1] y' at the state before
+    each step.  The first step whose estimate exceeds ``MAX_LOCAL_ERROR``
+    raises :class:`StepSizeError`, or :class:`ConvergenceError` if that
+    estimate is not finite.  The block's arrays die with the call: held into
+    the next block, they made glibc return and re-fault ~170 pages per
+    two-block run.
     """
     E, D = _step_matrices(a, q, h, i0, nb)
     Q = _prefix_products(E)
-    e, t = scratch[:, :, :nb]
     start = x[:, i0]
-    after = x[:, i0 + 1 : i0 + nb + 1]
-    np.multiply(Q[:, 0], start[0], out=after)
-    np.add(start[:, None], after, out=after)
-    after += np.multiply(Q[:, 1], start[1], out=t)
+    x[:, i0 + 1 : i0 + nb + 1] = start[:, None] + Q[:, 0] * start[0] + Q[:, 1] * start[1]
     before = x[:, i0 : i0 + nb]
-    np.multiply(D[:, 0], before[0], out=e)
-    e += np.multiply(D[:, 1], before[1], out=t)
-    err = np.maximum(np.abs(e[0], out=e[0]), np.abs(e[1], out=e[1]), out=e[0])
+    e = D[:, 0] * before[0] + D[:, 1] * before[1]
+    err = np.maximum(np.abs(e[0]), np.abs(e[1]))
     passed = err <= MAX_LOCAL_ERROR
-    return None if passed.all() else float(err[np.argmin(passed)])
+    if not passed.all():
+        first = float(err[np.argmin(passed)])
+        if not math.isfinite(first):
+            raise ConvergenceError("trajectory blew up (non-finite samples)")
+        raise StepSizeError(
+            f"step {h:.6g} too large: local error {_shortest(first)} exceeds {MAX_LOCAL_ERROR:.3e}"
+        )
 
 
 def _step_matrices(a, q, h, i0, nb):

@@ -40,13 +40,11 @@ _BLOCK = 2 ** 15
 def _polyphase(bank):
     """Polyphase taps of h and g: per filter, (phase l % 2, offset, value) in
     ascending l, where offset = l//2 - lo and lo is the least l//2 of both
-    filters; returned with lo and span, the largest offset.  Values are 0-d
-    arrays, which numpy's ufuncs take faster than Python floats."""
+    filters; returned with lo and span, the largest offset."""
     ls, vs = zip(*map(tap_arrays, (bank.h, bank.g)))
     lo = min(int(l.min()) // 2 for l in ls)
     span = max(int(l.max()) // 2 for l in ls) - lo
-    taps = [list(zip((l % 2).tolist(), (l // 2 - lo).tolist(), map(np.array, v.tolist())))
-            for l, v in zip(ls, vs)]
+    taps = [list(zip((l % 2).tolist(), (l // 2 - lo).tolist(), v.tolist())) for l, v in zip(ls, vs)]
     return taps, lo, span
 
 

@@ -105,8 +105,9 @@ def prefix_products(E):
     return Q.reshape(2, 2, -1)[..., :m]
 
 
-# oracle._march before its out= arrays, on the references above: pins its
-# states and its first refused error bit for bit.
+# oracle._march, integrate's block loop before each block raised its own
+# refusal, on the references above: pins integrate's states bit for bit, and
+# its refusal message through the first refused error.
 def march(a, q, y0, yprime0, h, n, max_local_error):
     x = np.empty((2, n + 1))
     x[:, 0] = y0, yprime0

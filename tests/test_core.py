@@ -28,6 +28,11 @@ def test_params_validation():
         mm.MathieuParams(-1, 1.0)
     with pytest.raises(ValueError):
         mm.MathieuParams(3, math.inf)
+    # nu must be an integer: 3.5 % 2 and 3.0 % 2 are not 0, and True is 1.
+    mm.MathieuParams(np.int64(3), 1.0)
+    for nu in (3.5, 3.0, np.float64(3.0), True):
+        with pytest.raises(ValueError, match=f"^nu must be odd and >= 1, got {nu}$"):
+            mm.MathieuParams(nu, 1.0)
 
 
 @pytest.mark.parametrize("nu", [1, 3, 5])
@@ -615,6 +620,14 @@ def test_find_root_never_repeats_an_evaluation():
     found = core.find_root(g, (70.5202750194906, 72.27640334453717), 1.1268363044630312e-14)
     assert abs(found - root) <= 2e-14
     assert len(calls) == len(set(calls))
+    # A bracket of one point is evaluated once, whether it is the root or not.
+    g, calls = _counting(lambda x: x - 1.0)
+    assert core.find_root(g, (1.0, 1.0), 1e-10) == 1.0
+    assert calls == [1.0]
+    calls.clear()
+    with pytest.raises(ValueError, match="no sign change"):
+        core.find_root(g, (2.0, 2.0), 1e-10)
+    assert calls == [2.0]
 
 
 def test_find_root_skips_a_centre_pair_on_a_bracket_end():

@@ -119,11 +119,20 @@ def test_block_functions_match_references_bit_for_bit(a, q, h, n):
         E_ref, D_ref = reference.step_matrices(a, q, h, i0, nb)
         assert reference.bit_equal(E, E_ref) and reference.bit_equal(D, D_ref)
         assert reference.bit_equal(oracle._prefix_products(E), reference.prefix_products(E))
+    # n * h / n gives back h exactly here, so integrate runs the reference's steps.
     for y0, yprime0 in [(1.0, 0.0), (0.0, 1.0)]:
-        x, err = oracle._march(a, q, y0, yprime0, h, n)
         x_ref, err_ref = reference.march(a, q, y0, yprime0, h, n, oracle.MAX_LOCAL_ERROR)
-        assert err == err_ref
-        assert (x is None and x_ref is None) or reference.bit_equal(x, x_ref)
+        if x_ref is None:
+            with pytest.raises(mm.StepSizeError) as info:
+                mm.integrate(a, q, y0, yprime0, n * h, step=h)
+            assert str(info.value) == (
+                f"step {h:.6g} too large: local error {oracle._shortest(err_ref)} "
+                f"exceeds {oracle.MAX_LOCAL_ERROR:.3e}"
+            )
+        else:
+            traj = mm.integrate(a, q, y0, yprime0, n * h, step=h)
+            assert traj.step == h
+            assert reference.bit_equal(np.stack([traj.y, traj.yprime]), x_ref)
 
 
 @pytest.mark.parametrize(
@@ -152,16 +161,16 @@ def test_step_refusal_matches_scalar_reference(a, q, step):
     assert refused(mm.integrate) == refused(reference.integrate)
 
 
-def _record_marches(monkeypatch):
-    """The step count of every march run from now on."""
+def _record_blocks(monkeypatch):
+    """The (first step, step count) of every block run from now on."""
     calls = []
-    march = oracle._march
+    block = oracle._block
 
-    def recorded(*args):
-        calls.append(args[5])
-        return march(*args)
+    def recorded(a, q, h, x, i0, nb):
+        calls.append((i0, nb))
+        return block(a, q, h, x, i0, nb)
 
-    monkeypatch.setattr(oracle, "_march", recorded)
+    monkeypatch.setattr(oracle, "_block", recorded)
     return calls
 
 
@@ -176,24 +185,24 @@ def _record_marches(monkeypatch):
 )
 def test_step_refusal_reports_requirement(monkeypatch, a, step, message):
     # The message names the step, the error read back above the bound and
-    # the bound, and the refused march is the only one.
-    calls = _record_marches(monkeypatch)
+    # the bound, and the refused block is the only one run.
+    calls = _record_blocks(monkeypatch)
     with pytest.raises(mm.StepSizeError) as info:
         mm.integrate(a, 0.0, 1.0, 0.0, math.pi, step=step)
     assert str(info.value) == message
     assert float(message.split()[6]) > oracle.MAX_LOCAL_ERROR
     assert float(message.split()[-1]) == oracle.MAX_LOCAL_ERROR
-    assert calls == [round(math.pi / step)]
+    assert calls == [(0, round(math.pi / step))]
 
 
 @pytest.mark.parametrize("nu, q", [(1, "400"), (15, "900"), (1, "-375")])
 def test_refused_validate_marches_once(monkeypatch, capsys, nu, q):
     # The shot's first integration is refused and nothing looks for a step
-    # that would pass.
-    calls = _record_marches(monkeypatch)
+    # that would pass: the refused block is the only one run.
+    calls = _record_blocks(monkeypatch)
     assert cli.main(["validate", "--nu", str(nu), "--q", q]) == 3
     assert "too large" in capsys.readouterr().err
-    assert calls == [round(math.pi / 2 / mm.DEFAULT_STEP)]
+    assert calls == [(0, round(math.pi / 2 / mm.DEFAULT_STEP))]
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, 1e300])
@@ -207,8 +216,8 @@ def test_non_finite_trajectory_raises_without_warnings(a):
             mm.integrate(a, 0.0, 1.0, 0.0, math.pi)
 
 
-def _no_march(*args):
-    raise AssertionError("marched before refusing the arguments")
+def _no_block(*args):
+    raise AssertionError("ran a block before refusing the arguments")
 
 
 @pytest.mark.parametrize("name", ["a", "q", "y0", "yprime0", "z_end", "step"])
@@ -217,7 +226,7 @@ def test_integrate_refuses_non_finite_arguments_before_any_work(monkeypatch, nam
     # z_end = inf once raised OverflowError, which escaped the CLI's handler;
     # a NaN step or z_end "cannot convert float NaN to integer"; a NaN a
     # "trajectory blew up".
-    monkeypatch.setattr(oracle, "_march", _no_march)
+    monkeypatch.setattr(oracle, "_block", _no_block)
     args = {"a": A_REF_3_3, "q": 3.0, "y0": 1.0, "yprime0": 0.0, "z_end": math.pi, "step": mm.DEFAULT_STEP}
     args[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
