@@ -105,7 +105,7 @@ def build(params, sol, threshold):
     # every l with |2l - nu| <= 2N - 1, the highest harmonic kept
     ls = np.arange((nu + 1) // 2 - len(A), (nu + 1) // 2 + len(A))
     taps = -SQRT2 * A[(np.abs(2 * ls - nu) - 1) // 2] / (2.0 * ce0)
-    kept = taps != 0.0 if threshold == 0.0 else np.abs(taps) >= threshold
+    kept = (taps != 0.0) & (np.abs(taps) >= threshold)
     ls, taps = ls[kept], taps[kept]
     h = dict(zip(ls.tolist(), taps.tolist()))
     # the quadrature mirror g_{1-l} = (-1)^l h_l, inserted in ascending index

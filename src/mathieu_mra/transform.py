@@ -1,14 +1,16 @@
 """Periodic multilevel analysis/synthesis with a finite filter pair.
 
 Analysis correlates the signal with each filter (taps applied at
-circularly wrapped positions 2n + l) and keeps every second sample;
-synthesis is the adjoint.  Both work in polyphase form: position
-(2n + l) mod N is sample (n + l//2) mod N/2 of phase l mod 2.  Each level
-runs over output blocks of at most ``_BLOCK`` samples: the wrapped source
-windows of a block are copied once into two small reused buffers, and each
-tap is then one contiguous slice product added into the block, so no
-full-size scratch array is made.  Every output sample still gets the same
-products added in the same tap order from +0.0, whatever the block size.
+circularly wrapped positions 2n + l) and keeps every second sample.  In
+polyphase form position (2n + l) mod N is sample (n + l//2) mod N/2 of phase
+l mod 2, so each tap is one term: a phase, a band, a shift and a value.
+Synthesis is the adjoint, the same terms transposed (band to phase, shift
+negated).  Both run one blocked periodic sum over output blocks of at most
+``_BLOCK`` samples: the wrapped source windows of a block are copied once
+into two small reused buffers, and each term is then one contiguous slice
+product added into the block, so no full-size scratch array is made.  Every
+output sample gets the same products added in the same tap order from +0.0,
+whatever the block size.
 With the q = 0 banks the pair is orthonormal and synthesis inverts
 analysis exactly; for q != 0 synthesis is only the adjoint, and the
 round-trip error tracks the power-complementarity defect of the transfer
@@ -37,15 +39,15 @@ class DwtResult:
 _BLOCK = 2 ** 15
 
 
-def _polyphase(bank):
-    """Polyphase taps of h and g: per filter, (phase l % 2, offset, value) in
-    ascending l, where offset = l//2 - lo and lo is the least l//2 of both
-    filters; returned with lo and span, the largest offset."""
-    ls, vs = zip(*map(tap_arrays, (bank.h, bank.g)))
-    lo = min(int(l.min()) // 2 for l in ls)
-    span = max(int(l.max()) // 2 for l in ls) - lo
-    taps = [list(zip((l % 2).tolist(), (l // 2 - lo).tolist(), v.tolist())) for l, v in zip(ls, vs)]
-    return taps, lo, span
+def _terms(bank):
+    """Analysis terms (phase l % 2, filter f, l // 2, value): band f gets
+    value * x[l % 2::2][(k + l // 2) mod N/2] at sample k.  h's taps come
+    first, then g's, each in ascending l."""
+    terms = []
+    for f, taps in enumerate((bank.h, bank.g)):
+        l, v = tap_arrays(taps)
+        terms += zip((l % 2).tolist(), [f] * l.size, (l // 2).tolist(), v.tolist())
+    return terms
 
 
 def _wrap_copy(out, src, start):
@@ -57,50 +59,27 @@ def _wrap_copy(out, src, start):
         k, i = k + c, 0
 
 
-def _analysis_step(x, polyphase):
-    # Window sample k of phase p is x[p::2][(m + lo + k) mod n], so the tap
-    # with offset o reads the block's inputs at win[p][o:o + c].
-    taps, lo, span = polyphase
-    n = x.size // 2
-    b = min(n, _BLOCK)
-    win, tmp = [np.empty(b + span), np.empty(b + span)], np.empty(b)
-    bands = [np.zeros(n), np.zeros(n)]
-    for m in range(0, n, b):
-        c = min(b, n - m)
-        for p, w in enumerate(win):
-            _wrap_copy(w[:c + span], x[p::2], m + lo)
-        t = tmp[:c]
-        for filt, out in zip(taps, bands):
-            blk = out[m:m + c]
-            for p, o, v in filt:
-                np.multiply(win[p][o:o + c], v, out=t)
-                np.add(blk, t, out=blk)
-    return bands
-
-
-def _synthesis_step(approx, detail, polyphase):
-    if approx.size != detail.size:
-        raise ValueError("subband shape mismatch")
-    # Window sample k is sub[(j - lo - span + k) mod n], so the tap with
-    # offset o reads the block's inputs at w[span - o:span - o + c].
-    taps, lo, span = polyphase
-    n = approx.size
+def _periodic_sums(sources, terms, outputs):
+    """outputs[r][k] = sum of v * sources[s][(k + shift) mod n] over the terms
+    (s, r, shift, v), added in list order from +0.0."""
+    # Window sample i of source s is sources[s][(m + lo + i) mod n], so the
+    # term with shift reads the block's inputs at win[s][shift - lo:][:c].
+    n = sources[0].size
+    lo = min(t[2] for t in terms)
+    span = max(t[2] for t in terms) - lo
     b = min(n, _BLOCK)
     win, tmp, acc = [np.empty(b + span), np.empty(b + span)], np.empty(b), np.empty((2, b))
-    x = np.empty(2 * n)
-    for j in range(0, n, b):
-        c = min(b, n - j)
-        for w, sub in zip(win, (approx, detail)):
-            _wrap_copy(w[:c + span], sub, j - lo - span)
+    for m in range(0, n, b):
+        c = min(b, n - m)
+        for w, src in zip(win, sources):
+            _wrap_copy(w[:c + span], src, m + lo)
         t, blk = tmp[:c], acc[:, :c]
         blk[...] = 0.0
         rows = list(blk)
-        for w, filt in zip(win, taps):
-            for p, o, v in filt:
-                np.multiply(w[span - o:span - o + c], v, out=t)
-                np.add(rows[p], t, out=rows[p])
-        x[2 * j:2 * (j + c):2], x[2 * j + 1:2 * (j + c):2] = rows
-    return x
+        for s, r, shift, v in terms:
+            rows[r] += np.multiply(win[s][shift - lo:shift - lo + c], v, t)
+        for out, row in zip(outputs, rows):
+            out[m:m + c] = row
 
 
 def forward(signal, bank, levels):
@@ -118,12 +97,14 @@ def forward(signal, bank, levels):
         raise ValueError("signal length must be divisible by 2**levels")
     if len(bank.h) < 2 or len(bank.g) < 2:
         raise ValueError("filter bank is empty")
-    polyphase = _polyphase(bank)
+    terms = _terms(bank)
     details = []
     cur = x
     for _ in range(levels):
-        cur, d = _analysis_step(cur, polyphase)
-        details.append(d)
+        bands = np.empty(cur.size // 2), np.empty(cur.size // 2)
+        _periodic_sums((cur[0::2], cur[1::2]), terms, bands)
+        cur = bands[0]
+        details.append(bands[1])
     return DwtResult(levels, cur, details, x.size)
 
 
@@ -136,8 +117,13 @@ def inverse(res, bank):
     expected = res.length // (2 ** res.levels)
     if res.approx.size != expected or len(res.details) != res.levels:
         raise ValueError("decomposition shape mismatch")
-    polyphase = _polyphase(bank)
+    # The adjoint: each term reads band f and adds into phase p at shift -k.
+    terms = [(f, p, -k, v) for p, f, k, v in _terms(bank)]
     x = res.approx
     for d in reversed(res.details):
-        x = _synthesis_step(x, d, polyphase)
+        if x.size != d.size:
+            raise ValueError("subband shape mismatch")
+        y = np.empty(2 * x.size)
+        _periodic_sums((x, d), terms, (y[0::2], y[1::2]))
+        x = y
     return x

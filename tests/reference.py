@@ -10,6 +10,7 @@ from numpy.polynomial import chebyshev
 
 import mathieu_mra as mm
 from mathieu_mra import core, oracle
+from mathieu_mra.filterbank import tap_arrays
 
 _REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _REF_A = (
@@ -166,6 +167,31 @@ def solve_odd(nu, q):
     if core._series("even-ce", m * vec, 0.0) < 0:
         vec = -vec
     return a, vec
+
+
+# transform's analysis step as the gather that preceded its polyphase form:
+# pins forward's bands bit for bit, signed zeros included.
+def analysis_step(x, bank):
+    n = x.size // 2
+    pos = 2 * np.arange(n)
+    approx = np.zeros(n)
+    detail = np.zeros(n)
+    for taps, out in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
+            out += v * x[(pos + l) % x.size]
+    return approx, detail
+
+
+# transform's synthesis step as the np.add.at scatter that preceded its
+# polyphase form: pins inverse bit for bit, signed zeros included.
+def synthesis_step(approx, detail, bank):
+    size = 2 * approx.size
+    pos = 2 * np.arange(approx.size)
+    x = np.zeros(size)
+    for taps, sub in ((bank.h, approx), (bank.g, detail)):
+        for l, v in zip(*tap_arrays(taps)):
+            np.add.at(x, (pos + l) % size, v * sub)
+    return x
 
 
 # What "bit for bit" means above: same type and shape, equal values (NaN

@@ -329,8 +329,11 @@ def _taps_or_refusal(make):
 
 @pytest.mark.parametrize("nu", range(1, 20, 2))
 def test_build_matches_tap_loops_bit_for_bit(nu):
-    qs = (0.0, 0.5, 1.0, 3.0, -3.0, 5.0, 15.0, 20.0, -20.0, 30.0, 50.0, 100.0, -150.0, 200.0)
-    thresholds = (0.0, 1e-16, 1e-12, 1e-10, 1e-6, 1e-3, 0.05, 0.3)
+    # _loop_build keeps the threshold branch build's one mask replaced:
+    # v != 0 at threshold 0, |v| >= threshold otherwise.  At q = 0 (either
+    # sign) every tap off the two-tap pair is an exact zero.
+    qs = (0.0, -0.0, 0.5, 1.0, 3.0, -3.0, 5.0, 15.0, 20.0, -20.0, 30.0, 40.0, 50.0, 100.0, -150.0, 200.0)
+    thresholds = (0.0, 1e-300, 1e-16, 1e-12, 1e-10, 1e-6, 1e-3, 0.05, 0.1, 0.3, math.inf)
     for q in qs:
         params, sol = _pair(nu, q)
         for thr in thresholds:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import mathieu_mra as mm
+import reference
 from mathieu_mra import transform
-from mathieu_mra.filterbank import tap_arrays
 
 # Round-trip sup errors for the seeded length-64 signal, recorded.
 ROUNDTRIP_3_3_L3 = 1.2173002200267717
@@ -125,30 +125,6 @@ def test_inverse_shape_mismatch():
         mm.inverse(broken, bank)
 
 
-# The gather / np.add.at steps that preceded the polyphase form, kept as
-# the reference: every output sample gets the same products in the same
-# tap order, so the two must agree bit for bit.
-def _reference_analysis_step(x, bank):
-    n = x.size // 2
-    pos = 2 * np.arange(n)
-    approx = np.zeros(n)
-    detail = np.zeros(n)
-    for taps, out in ((bank.h, approx), (bank.g, detail)):
-        for l, v in zip(*tap_arrays(taps)):
-            out += v * x[(pos + l) % x.size]
-    return approx, detail
-
-
-def _reference_synthesis_step(approx, detail, bank):
-    size = 2 * approx.size
-    pos = 2 * np.arange(approx.size)
-    x = np.zeros(size)
-    for taps, sub in ((bank.h, approx), (bank.g, detail)):
-        for l, v in zip(*tap_arrays(taps)):
-            np.add.at(x, (pos + l) % size, v * sub)
-    return x
-
-
 @pytest.mark.parametrize("nu,q", [(1, 0.0), (3, 0.0), (3, 3.0), (5, 5.0), (5, 15.0), (7, 20.0)])
 def test_polyphase_matches_gather_reference_bit_for_bit(nu, q):
     bank = _bank(nu, q)
@@ -162,12 +138,12 @@ def test_polyphase_matches_gather_reference_bit_for_bit(nu, q):
             res = mm.forward(x, bank, levels)
             cur = x
             for d in res.details:
-                cur, ref_d = _reference_analysis_step(cur, bank)
+                cur, ref_d = reference.analysis_step(cur, bank)
                 assert np.array_equal(d, ref_d)
             assert np.array_equal(res.approx, cur)
             ref = res.approx
             for d in reversed(res.details):
-                ref = _reference_synthesis_step(ref, d, bank)
+                ref = reference.synthesis_step(ref, d, bank)
             assert np.array_equal(mm.inverse(res, bank), ref)
 
 
@@ -181,7 +157,7 @@ def _same(a, b):
 def _assert_inverse_matches_reference(res, bank):
     ref = res.approx
     for d in reversed(res.details):
-        ref = _reference_synthesis_step(ref, d, bank)
+        ref = reference.synthesis_step(ref, d, bank)
     assert _same(mm.inverse(res, bank), ref)
 
 
@@ -191,7 +167,7 @@ def _assert_reference_bit_for_bit(x, bank, levels):
     res = mm.forward(x, bank, levels)
     cur = x
     for d in res.details:
-        cur, ref_d = _reference_analysis_step(cur, bank)
+        cur, ref_d = reference.analysis_step(cur, bank)
         assert _same(d, ref_d)
     assert _same(res.approx, cur)
     _assert_inverse_matches_reference(res, bank)
@@ -231,6 +207,24 @@ def test_signed_zeros_match_reference(nu, q):
         # forward returns no -0.0, so give inverse signed-zero subbands.
         bands = mm.DwtResult(4, sig[:4], [sig[32:], sig[16:32], sig[8:16], sig[4:8]], 64)
         _assert_inverse_matches_reference(bands, bank)
+
+
+@pytest.mark.parametrize("nu,q", BANKS)
+def test_inverse_is_the_adjoint_of_forward(nu, q):
+    # <forward(x), y> summed over the bands equals <x, inverse(y)>, to
+    # 1e-12 of |x| |inverse(y)|, the Cauchy-Schwarz bound on the right side.
+    bank = _bank(nu, q)
+    rng = np.random.default_rng(nu * 100 + int(q))
+    for k in (4, 10):
+        for levels in range(1, k + 1):
+            x = rng.standard_normal(2 ** k)
+            y = rng.standard_normal(2 ** k)
+            details = [y[2 ** (k - j):2 ** (k - j + 1)] for j in range(1, levels + 1)]
+            bands = mm.DwtResult(levels, y[:2 ** (k - levels)], details, 2 ** k)
+            res = mm.forward(x, bank, levels)
+            lhs = res.approx @ bands.approx + sum(d @ e for d, e in zip(res.details, bands.details))
+            back = mm.inverse(bands, bank)
+            assert abs(lhs - x @ back) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(back)
 
 
 def _traced_peak(f, *args):
